@@ -7,16 +7,17 @@
 // millisecond-scale runtimes with convlayer the slow outlier (7.6 s)
 // because of its deep loop nest; the same shape is expected here.
 //
-// Two configurations run side by side: the closed-form analytic scoring
-// path (the default) and the legacy emulation/simulation path, so the
-// table doubles as the speedup demonstration for the analytic miss
-// model. Under --json each row also carries the per-phase breakdown
-// (classify / temporal / spatial milliseconds).
+// Each row also reports the number of tile candidates the search scored
+// (the `opt.candidates` counter), an exact, host-independent figure the
+// CI gate compares against the committed baseline. Under --json each row
+// carries the per-phase breakdown (classify / temporal / spatial
+// milliseconds) as well.
 //
 //===----------------------------------------------------------------------===//
 
 #include "bench/Harness.h"
 
+#include "obs/Telemetry.h"
 #include "support/Format.h"
 #include "support/Timer.h"
 
@@ -39,31 +40,33 @@ const std::map<std::string, double> &paperRuntimesSeconds() {
 }
 
 /// One optimizer run over every stage of a fresh instance. Returns total
-/// seconds and accumulates the per-phase breakdown.
+/// seconds, the per-phase breakdown and the candidates scored.
 struct OptRun {
   double Seconds = 0.0;
   double ClassifyMs = 0.0;
   double TemporalMs = 0.0;
   double SpatialMs = 0.0;
+  int64_t Candidates = 0;
   std::string Class;
 };
 
 OptRun runOptimizer(const BenchmarkDef &Def, int64_t Size,
-                    const ArchParams &Arch, model::ScoreMode Score) {
+                    const ArchParams &Arch) {
+  static obs::Counter &Candidates = obs::counter("opt.candidates");
   BenchmarkInstance Instance = Def.Create(Size);
   OptRun Run;
+  const int64_t CandidatesBefore = Candidates.value();
   Timer T;
   for (size_t S = 0; S != Instance.Stages.size(); ++S) {
-    OptimizerOptions Options;
-    Options.Temporal.Score = Score;
-    OptimizationResult R = optimize(Instance.Stages[S],
-                                    Instance.StageExtents[S], Arch, Options);
+    OptimizationResult R =
+        optimize(Instance.Stages[S], Instance.StageExtents[S], Arch);
     Run.ClassifyMs += R.ClassifyMillis;
     Run.TemporalMs += R.TemporalMillis;
     Run.SpatialMs += R.SpatialMillis;
     Run.Class = statementClassName(R.Class.Kind);
   }
   Run.Seconds = T.elapsedSeconds();
+  Run.Candidates = Candidates.value() - CandidatesBefore;
   return Run;
 }
 
@@ -78,66 +81,55 @@ int main(int Argc, char **Argv) {
   const int Runs = timedRuns(Args, 3);
   printHeader("Table 5: optimizer runtime per benchmark", Arch);
 
-  std::vector<int> Widths = {10, 8, 12, 12, 9, 10, 40};
-  printRow({"benchmark", "size", "analytic(s)", "sim(s)", "speedup",
-            "paper(s)", "class"},
+  std::vector<int> Widths = {10, 8, 12, 12, 10, 40};
+  printRow({"benchmark", "size", "ours(s)", "candidates", "paper(s)", "class"},
            Widths);
 
-  double TotalAnalytic = 0.0, TotalSim = 0.0;
+  double TotalSeconds = 0.0;
+  int64_t TotalCandidates = 0;
   for (const BenchmarkDef &Def : allBenchmarks()) {
     // Table 5 uses the paper's problem sizes unless overridden: the
     // optimizer runtime depends on the loop extents, not on data.
     int64_t Size =
         Args.has("default-sizes") ? Def.DefaultSize : Def.PaperSize;
 
-    // Best-of-N for both scoring paths; the analytic path's phase
-    // breakdown from its best run feeds the JSON report.
-    OptRun Analytic, Sim;
+    // Best-of-N; the best run's phase breakdown feeds the JSON report.
+    // The candidate count is the same on every run.
+    OptRun Best;
     for (int R = 0; R != Runs; ++R) {
-      OptRun A = runOptimizer(Def, Size, Arch, model::ScoreMode::Auto);
-      if (R == 0 || A.Seconds < Analytic.Seconds)
-        Analytic = A;
-      OptRun S = runOptimizer(Def, Size, Arch, model::ScoreMode::Sim);
-      if (R == 0 || S.Seconds < Sim.Seconds)
-        Sim = S;
+      OptRun Run = runOptimizer(Def, Size, Arch);
+      if (R == 0 || Run.Seconds < Best.Seconds)
+        Best = Run;
     }
-    TotalAnalytic += Analytic.Seconds;
-    TotalSim += Sim.Seconds;
-    double Speedup =
-        Analytic.Seconds > 0.0 ? Sim.Seconds / Analytic.Seconds : 0.0;
+    TotalSeconds += Best.Seconds;
+    TotalCandidates += Best.Candidates;
 
     printRow({Def.Name, strFormat("%lld", static_cast<long long>(Size)),
-              strFormat("%.4f", Analytic.Seconds),
-              strFormat("%.4f", Sim.Seconds), strFormat("%.1fx", Speedup),
+              strFormat("%.4f", Best.Seconds),
+              strFormat("%lld", static_cast<long long>(Best.Candidates)),
               strFormat("%.3f", paperRuntimesSeconds().at(Def.Name)),
-              Analytic.Class},
+              Best.Class},
              Widths);
 
     TimingStats Stats;
-    Stats.BestSeconds = Analytic.Seconds;
+    Stats.BestSeconds = Best.Seconds;
     Stats.Runs = Runs;
-    reportResult(
-        Def.Name, "analytic", Stats,
-        strFormat("\"classify_ms\":%.4f,\"temporal_ms\":%.4f,"
-                  "\"spatial_ms\":%.4f,\"sim_seconds\":%.6f,"
-                  "\"sim_classify_ms\":%.4f,\"sim_temporal_ms\":%.4f,"
-                  "\"sim_spatial_ms\":%.4f,\"speedup\":%.3f",
-                  Analytic.ClassifyMs, Analytic.TemporalMs,
-                  Analytic.SpatialMs, Sim.Seconds, Sim.ClassifyMs,
-                  Sim.TemporalMs, Sim.SpatialMs, Speedup));
+    reportResult(Def.Name, "analytic", Stats,
+                 strFormat("\"classify_ms\":%.4f,\"temporal_ms\":%.4f,"
+                           "\"spatial_ms\":%.4f,\"candidates\":%lld",
+                           Best.ClassifyMs, Best.TemporalMs, Best.SpatialMs,
+                           static_cast<long long>(Best.Candidates)));
   }
 
-  std::printf("\ntotal: analytic %.4f s, sim %.4f s, speedup %.1fx\n",
-              TotalAnalytic, TotalSim,
-              TotalAnalytic > 0.0 ? TotalSim / TotalAnalytic : 0.0);
+  std::printf("\ntotal: %.4f s, %lld candidates\n", TotalSeconds,
+              static_cast<long long>(TotalCandidates));
   {
     TimingStats Stats;
-    Stats.BestSeconds = TotalAnalytic;
+    Stats.BestSeconds = TotalSeconds;
     Stats.Runs = Runs;
     reportResult("total", "analytic", Stats,
-                 strFormat("\"sim_seconds\":%.6f,\"speedup\":%.3f", TotalSim,
-                           TotalAnalytic > 0.0 ? TotalSim / TotalAnalytic
-                                               : 0.0));
+                 strFormat("\"candidates\":%lld",
+                           static_cast<long long>(TotalCandidates)));
   }
   printTelemetryFooter();
   return 0;

@@ -48,6 +48,21 @@ int parseBool(const std::string &Text) {
   return -1;
 }
 
+/// Why the models cannot use \p Level, or "" when they can: they split a
+/// cache into lines of whole elements (up to 8 bytes) and into at least
+/// one set of `ways` lines, and would otherwise abort on it.
+std::string cacheGeometryError(const char *Label, const CacheParams &Level) {
+  if (Level.LineBytes < 8)
+    return strFormat("%s.line %lld is under 8 bytes", Label,
+                     static_cast<long long>(Level.LineBytes));
+  if (Level.SizeBytes / Level.Ways < Level.LineBytes)
+    return strFormat("%s.size %lld is under one set of %lld x %lld bytes",
+                     Label, static_cast<long long>(Level.SizeBytes),
+                     static_cast<long long>(Level.Ways),
+                     static_cast<long long>(Level.LineBytes));
+  return "";
+}
+
 } // namespace
 
 ErrorOr<ArchParams> ltp::parseArchParams(const std::string &Text) {
@@ -152,6 +167,11 @@ ErrorOr<ArchParams> ltp::parseArchParams(const std::string &Text) {
   if (Arch.L1.SizeBytes <= 0 || Arch.L2.SizeBytes <= 0)
     return ErrorOr<ArchParams>::makeError(
         "platform requires non-empty l1.size and l2.size");
+  std::string Error = cacheGeometryError("l1", Arch.L1);
+  if (Error.empty())
+    Error = cacheGeometryError("l2", Arch.L2);
+  if (!Error.empty())
+    return ErrorOr<ArchParams>::makeError(Error);
   return Arch;
 }
 

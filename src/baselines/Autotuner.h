@@ -21,7 +21,6 @@
 
 #include "benchmarks/Benchmarks.h"
 #include "jit/JIT.h"
-#include "model/ScoreMode.h"
 
 #include <cstdint>
 #include <string>
@@ -52,14 +51,11 @@ struct AutotuneOptions {
   /// Miss-model pruning: rank each batch's legal candidates by predicted
   /// weighted misses (Eq. 11 weights) and compile only the best
   /// `ceil(fraction * legal)` of them, spending the compile+time budget
-  /// on schedules the model thinks can win. 1.0 compiles every legal
+  /// on schedules the model thinks can win. The closed-form miss model
+  /// scores each candidate, with a counted fallback to the cache
+  /// simulator where it does not apply. 1.0 compiles every legal
   /// candidate (the original search).
   double ModelKeepFraction = 0.5;
-  /// Scoring path for the pruning stage: Analytic/Auto use the
-  /// closed-form miss model with an automatic, counted fallback to the
-  /// cache simulator when its applicability check fails; Sim always
-  /// simulates.
-  model::ScoreMode Score = model::ScoreMode::Auto;
   /// Lint pruning: after the legality verifier accepts a candidate, run
   /// the static diagnostics pass and drop the candidate when a rule of
   /// Error severity fires (an oversized tile, a scattering vectorize)

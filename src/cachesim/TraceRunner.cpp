@@ -54,7 +54,7 @@ SimResult ltp::simulate(const std::vector<ir::StmtPtr> &Stmts,
   MemoryHierarchy Hierarchy(Arch);
   SimResult Result;
 
-  if (Engine != SimEngine::Interpreter && Engine != SimEngine::Reference) {
+  if (Engine == SimEngine::Auto) {
     if (std::optional<AccessProgram> Program =
             compileAccessProgram(Stmts, Buffers)) {
       Result.Accesses = Program->run(Hierarchy, Buffers);

@@ -88,8 +88,7 @@ StagePlan ltp::planStage(const Func &F,
     if (Plan.Info.Loops.size() == 2) {
       Timer Phase;
       Plan.Kind = StagePlan::Mode::Spatial;
-      Plan.Spatial = optimizeSpatial(Plan.Info, Plan.Class, Arch,
-                                     Options.Temporal.Score);
+      Plan.Spatial = optimizeSpatial(Plan.Info, Plan.Class, Arch);
       Plan.SpatialMillis = Phase.elapsedMillis();
       Plan.Description =
           std::string("spatial: ") + describeSpatialSchedule(Plan.Spatial);

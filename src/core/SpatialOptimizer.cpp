@@ -15,8 +15,7 @@ using namespace ltp;
 
 SpatialSchedule ltp::optimizeSpatial(const StageAccessInfo &Info,
                                      const Classification &C,
-                                     const ArchParams &Arch,
-                                     model::ScoreMode Score) {
+                                     const ArchParams &Arch) {
   obs::ScopedSpan Span("opt.spatial");
   assert(!C.TransposedInputs.empty() &&
          "spatial optimizer requires a transposed input");
@@ -89,7 +88,7 @@ SpatialSchedule ltp::optimizeSpatial(const StageAccessInfo &Info,
     Emu.ForL2 = true;
     Emu.MaxRows = By;
     bool BoundAnalytic = false;
-    int64_t MaxTy = model::boundMaxTileDim(Emu, Score, &BoundAnalytic);
+    int64_t MaxTy = model::boundMaxTileDim(Emu, &BoundAnalytic);
 
     for (int64_t Ty = MaxTy; Ty >= 1; Ty = Ty / 2) {
       CandidateCounter.add();

@@ -127,13 +127,10 @@ TemporalSchedule ltp::optimizeTemporal(const StageAccessInfo &Info,
   static obs::Counter &CandidateCounter = obs::counter("opt.candidates");
   static obs::Counter &AnalyticCounter =
       obs::counter("opt.candidates.analytic");
-  static obs::Counter &SimCounter = obs::counter("opt.candidates.sim");
 
-  // Analytic-first scoring: the stage's access functions are compiled
-  // once into the dense NestScorer and every candidate scores without
-  // string hashing or map lookups; Sim mode keeps the original map-based
-  // cost-model path so the two runtimes can be compared honestly.
-  const bool AnalyticScoring = Options.Score != model::ScoreMode::Sim;
+  // The stage's access functions are compiled once into the dense
+  // NestScorer (bit-identical to the map-based cost model), so every
+  // candidate scores without string hashing or map lookups.
   const model::NestScorer Scorer(Info, Arch);
   const size_t NumLoops = Info.Loops.size();
   std::vector<int64_t> Dense(NumLoops, 1);
@@ -183,7 +180,7 @@ TemporalSchedule ltp::optimizeTemporal(const StageAccessInfo &Info,
           EmuL1.RowStrideElems = Bc;
           EmuL1.EffectiveWaysDivisor = EffDivL1;
           EmuL1.MaxRows = MaxExtent;
-          MaxT1 = model::boundMaxTileDim(EmuL1, Options.Score);
+          MaxT1 = model::boundMaxTileDim(EmuL1);
 
           CacheEmuParams EmuL2 = EmuL1;
           EmuL2.Cache = Arch.L2;
@@ -191,7 +188,7 @@ TemporalSchedule ltp::optimizeTemporal(const StageAccessInfo &Info,
           EmuL2.L2Pref = Arch.L2PrefetchDegree;
           EmuL2.L2MaxPref = Arch.L2MaxPrefetchDistance;
           EmuL2.ForL2 = !Options.NoL2SetHalving;
-          MaxT2 = model::boundMaxTileDim(EmuL2, Options.Score);
+          MaxT2 = model::boundMaxTileDim(EmuL2);
         }
 
         // Build per-loop candidate lists.
@@ -251,7 +248,7 @@ TemporalSchedule ltp::optimizeTemporal(const StageAccessInfo &Info,
           R.PredL1Misses = estimateL1Misses(Info, Tiles, U->Name);
           R.PredL2Misses = estimateL2Misses(Info, Tiles, V->Name);
           R.Cost = Cost;
-          R.ScoredBy = AnalyticScoring ? "analytic" : "sim";
+          R.ScoredBy = "analytic";
           R.Accepted = Accepted;
           R.Reason = Reason;
           obs::recordCandidate(std::move(R));
@@ -259,33 +256,18 @@ TemporalSchedule ltp::optimizeTemporal(const StageAccessInfo &Info,
 
         enumerateTiles(Choices, 0, Dense.data(), [&] {
           CandidateCounter.add();
-          (AnalyticScoring ? AnalyticCounter : SimCounter).add();
-          // Sim mode rebuilds the string-keyed map and scores through the
-          // original cost-model entry points, reproducing the
-          // pre-analytic runtime for the table5 comparison.
-          TileMap SimTiles;
-          if (!AnalyticScoring)
-            SimTiles = Scorer.toTileMap(Dense.data());
+          AnalyticCounter.add();
 
           // Working-set fit: wsL1 is the footprint of one iteration of
           // the outermost intra-tile loop (Eq. 1); wsL2 is the whole
           // tile (Eq. 6) against the prefetch-reduced L2 budget.
-          int64_t WsL1;
-          if (AnalyticScoring) {
-            WsL1 = Scorer.workingSetPivotOne(Dense.data(), UIdx);
-          } else {
-            TileMap L1Tiles = SimTiles;
-            L1Tiles[U->Name] = 1;
-            WsL1 = workingSetElements(Info, L1Tiles);
-          }
+          const int64_t WsL1 = Scorer.workingSetPivotOne(Dense.data(), UIdx);
           if (WsL1 > L1Elems) {
             if (Explain)
               Record(false, "ws-L1 overflow", -1.0);
             return;
           }
-          int64_t WsL2 = AnalyticScoring
-                             ? Scorer.workingSet(Dense.data())
-                             : workingSetElements(Info, SimTiles);
+          const int64_t WsL2 = Scorer.workingSet(Dense.data());
           if (WsL2 > L2Budget) {
             if (Explain)
               Record(false, "ws-L2 overflow", -1.0);
@@ -314,21 +296,11 @@ TemporalSchedule ltp::optimizeTemporal(const StageAccessInfo &Info,
           }
 
           double Cost;
-          if (AnalyticScoring) {
-            Cost = Options.PrefetchUnawareModel
-                       ? Arch.A2 * Scorer.l1MissesNoPrefetch(Dense.data(),
-                                                             UIdx, Lc) +
-                             Arch.A3 * Scorer.l2MissesNoPrefetch(
-                                           Dense.data(), VIdx, Lc)
-                       : Scorer.cost(Dense.data(), UIdx, VIdx);
-          } else {
-            Cost = Options.PrefetchUnawareModel
-                       ? Arch.A2 * estimateL1MissesNoPrefetch(
-                                       Info, SimTiles, U->Name, Lc) +
-                             Arch.A3 * estimateL2MissesNoPrefetch(
-                                           Info, SimTiles, V->Name, Lc)
-                       : totalCost(Info, SimTiles, U->Name, V->Name, Arch);
-          }
+          if (Options.PrefetchUnawareModel)
+            Cost = Arch.A2 * Scorer.l1MissesNoPrefetch(Dense.data(), UIdx, Lc) +
+                   Arch.A3 * Scorer.l2MissesNoPrefetch(Dense.data(), VIdx, Lc);
+          else
+            Cost = Scorer.cost(Dense.data(), UIdx, VIdx);
           if (Best.Cost >= 0.0) {
             if (Cost > Best.Cost * (1.0 + 1e-9)) {
               if (Explain)

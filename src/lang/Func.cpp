@@ -23,7 +23,8 @@ struct RVarBinding {
 };
 
 std::map<std::string, RVarBinding> &rvarRegistry() {
-  static std::map<std::string, RVarBinding> Registry;
+  // Per thread: a kernel is built on one thread, concurrent ones reuse "k".
+  thread_local std::map<std::string, RVarBinding> Registry;
   return Registry;
 }
 

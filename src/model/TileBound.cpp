@@ -96,27 +96,25 @@ bool ltp::model::analyticMaxTileDim(const CacheEmuParams &Params,
 }
 
 int64_t ltp::model::boundMaxTileDim(const CacheEmuParams &Params,
-                                    ScoreMode Mode, bool *UsedAnalytic) {
+                                    bool *UsedAnalytic) {
   static obs::Counter &Analytic = obs::counter("model.bound.analytic");
   static obs::Counter &Emulated = obs::counter("model.bound.emulated");
   static obs::Counter &Fallback = obs::counter("model.bound.fallback");
 
   if (UsedAnalytic)
     *UsedAnalytic = false;
-  if (Mode != ScoreMode::Sim) {
-    int64_t Bound = 0;
-    if (analyticMaxTileDim(Params, Bound)) {
-      Analytic.add();
-      if (UsedAnalytic)
-        *UsedAnalytic = true;
-      return Bound;
-    }
-    // Outside the closed form's domain (unaligned strides, probe-window
-    // interference, non-sequential period order): fall back to the
-    // emulator and count it, even in pure Analytic mode — a wrong bound
-    // is never an acceptable trade for skipping the emulation.
-    Fallback.add();
+  int64_t Bound = 0;
+  if (analyticMaxTileDim(Params, Bound)) {
+    Analytic.add();
+    if (UsedAnalytic)
+      *UsedAnalytic = true;
+    return Bound;
   }
+  // Outside the closed form's domain (unaligned strides, probe-window
+  // interference, non-sequential period order): fall back to the
+  // emulator and count it — a wrong bound is never an acceptable trade
+  // for skipping the emulation.
+  Fallback.add();
   Emulated.add();
   return emulateMaxTileDim(Params);
 }

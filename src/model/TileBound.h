@@ -35,9 +35,10 @@
 ///  * when the L2 constant-stride prefetch probe is active, interference
 ///    must provably occur after the probe window has closed.
 ///
-/// `boundMaxTileDim` dispatches on the ScoreMode and bumps the
-/// `model.bound.analytic` / `model.bound.emulated` /
-/// `model.bound.fallback` counters so the fallback rate is observable.
+/// `boundMaxTileDim` takes the closed form when it applies and the
+/// emulator otherwise, and bumps the `model.bound.analytic` /
+/// `model.bound.emulated` / `model.bound.fallback` counters so the
+/// fallback rate is observable.
 /// AnalyticModelTest pins exact equality with the emulator across
 /// randomized geometries and every kernel's candidate parameters.
 ///
@@ -47,7 +48,6 @@
 #define LTP_MODEL_TILEBOUND_H
 
 #include "model/CacheEmu.h"
-#include "model/ScoreMode.h"
 
 #include <cstdint>
 
@@ -60,11 +60,11 @@ namespace model {
 /// when the parameters are outside the closed form's domain.
 bool analyticMaxTileDim(const CacheEmuParams &Params, int64_t &Out);
 
-/// The scored tile bound: closed form when \p Mode allows it and the
-/// check passes, the iterative emulator otherwise. Telemetry counters
+/// The scored tile bound: closed form when the check passes, the
+/// iterative emulator otherwise (a counted fallback). Telemetry counters
 /// record which path produced each bound; \p UsedAnalytic (optional)
 /// reports it to the caller for per-candidate provenance.
-int64_t boundMaxTileDim(const CacheEmuParams &Params, ScoreMode Mode,
+int64_t boundMaxTileDim(const CacheEmuParams &Params,
                         bool *UsedAnalytic = nullptr);
 
 } // namespace model

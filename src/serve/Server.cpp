@@ -268,15 +268,17 @@ void Server::teardown() {
       return;
     TornDown = true;
   }
-  if (ListenFd >= 0) {
-    // shutdown() wakes the blocked accept(); close() alone does not on
-    // all platforms.
+  // shutdown() wakes the blocked accept(); close() alone does not on all
+  // platforms. The descriptor is closed and cleared only after the accept
+  // loop, which reads it, has been joined.
+  if (ListenFd >= 0)
     ::shutdown(ListenFd, SHUT_RDWR);
+  if (Acceptor.joinable())
+    Acceptor.join();
+  if (ListenFd >= 0) {
     ::close(ListenFd);
     ListenFd = -1;
   }
-  if (Acceptor.joinable())
-    Acceptor.join();
   std::vector<std::thread> ToJoin;
   {
     std::lock_guard<std::mutex> Lock(ConnMu);

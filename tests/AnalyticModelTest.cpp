@@ -3,7 +3,7 @@
 // Part of the LTP project (CGO'18 prefetch-aware loop transformations).
 //
 // Pins the three layers of the analytic scoring path against their
-// reference implementations:
+// reference implementations, and the schedules the optimizer chooses:
 //
 //  1. TileBoundParity — the closed-form solution of Algorithm 1 must
 //     return exactly the emulator's bound whenever its applicability
@@ -18,9 +18,10 @@
 //     every schedule where it claims applicability (identity, optimized
 //     and seeded random schedules over the kernel suite), and must give
 //     a reason whenever it declines.
-//  4. ChosenScheduleParity — end to end, the optimizer must pick the
-//     same schedule under analytic-first (Auto) and sim-only scoring for
-//     every benchmark.
+//  4. ChosenScheduleGolden — end to end, the optimizer's Description
+//     and printed schedule of every stage of every benchmark at its
+//     default size on the 6700 and 5930k models must equal the captured
+//     text in tests/golden/chosen_schedules.txt.
 //
 // The tolerance in (3) is deliberately asymmetric: relative agreement
 // within 3x, or an absolute gap under 1024 lines. The absolute slack
@@ -44,7 +45,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <map>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -336,31 +340,61 @@ TEST(MissModelVsSimulator, WithinPinnedToleranceWhenApplicable) {
       << "the closed form declined almost everything";
 }
 
-// ---- 4. End to end: analytic-first picks the same schedules. -----------
+// ---- 4. End to end: the chosen schedules are pinned. -------------------
 
-TEST(ChosenScheduleParity, AnalyticFirstMatchesSimOnlyOnAllKernels) {
-  const ArchParams Arch = intelI7_6700();
+/// Renders every stage's chosen schedule for every benchmark at its
+/// default size: one "== <arch> <kernel> stage <S>" header, the
+/// optimizer's Description, then the printed schedule of the pure
+/// definition and of each update definition.
+std::string renderChosenSchedules(const char *ArchName,
+                                  const ArchParams &Arch) {
+  std::string Out;
   for (const BenchmarkDef &Def : allBenchmarks()) {
-    BenchmarkInstance Auto = Def.Create(Def.DefaultSize);
-    BenchmarkInstance Sim = Def.Create(Def.DefaultSize);
-    for (size_t S = 0; S != Auto.Stages.size(); ++S) {
-      OptimizerOptions AutoOptions;
-      AutoOptions.Temporal.Score = model::ScoreMode::Auto;
-      OptimizerOptions SimOptions;
-      SimOptions.Temporal.Score = model::ScoreMode::Sim;
-      OptimizationResult A = optimize(Auto.Stages[S], Auto.StageExtents[S],
-                                      Arch, AutoOptions);
-      OptimizationResult B = optimize(Sim.Stages[S], Sim.StageExtents[S],
-                                      Arch, SimOptions);
-      EXPECT_EQ(A.Description, B.Description)
-          << Def.Name << " stage " << S;
-      int ComputeStage = Auto.Stages[S].numUpdates() > 0
-                             ? Auto.Stages[S].numUpdates() - 1
-                             : -1;
-      EXPECT_EQ(printSchedule(Auto.Stages[S], ComputeStage),
-                printSchedule(Sim.Stages[S], ComputeStage))
-          << Def.Name << " stage " << S;
+    BenchmarkInstance Instance = Def.Create(Def.DefaultSize);
+    for (size_t S = 0; S != Instance.Stages.size(); ++S) {
+      Func &F = Instance.Stages[S];
+      OptimizationResult R = optimize(F, Instance.StageExtents[S], Arch);
+      Out += "== " + std::string(ArchName) + " " + Def.Name + " stage " +
+             std::to_string(S) + "\n";
+      Out += "description: " + R.Description + "\n";
+      Out += "pure: " + printSchedule(F, -1) + "\n";
+      for (int U = 0; U != F.numUpdates(); ++U)
+        Out += "update " + std::to_string(U) + ": " + printSchedule(F, U) +
+               "\n";
     }
+  }
+  return Out;
+}
+
+/// Splits rendered text into its "== ..." blocks, keyed by header.
+std::map<std::string, std::string> splitBlocks(const std::string &Text) {
+  std::map<std::string, std::string> Blocks;
+  std::istringstream In(Text);
+  std::string Line, Header;
+  while (std::getline(In, Line)) {
+    if (Line.rfind("== ", 0) == 0)
+      Header = Line;
+    else if (!Header.empty())
+      Blocks[Header] += Line + "\n";
+  }
+  return Blocks;
+}
+
+TEST(ChosenScheduleGolden, MatchesCapturedSchedulesOnAllKernels) {
+  std::ifstream File(LTP_GOLDEN_SCHEDULES);
+  ASSERT_TRUE(File) << "cannot open " << LTP_GOLDEN_SCHEDULES;
+  std::stringstream Golden;
+  Golden << File.rdbuf();
+  const std::map<std::string, std::string> Expected =
+      splitBlocks(Golden.str());
+  const std::map<std::string, std::string> Actual =
+      splitBlocks(renderChosenSchedules("6700", intelI7_6700()) +
+                  renderChosenSchedules("5930k", intelI7_5930K()));
+  ASSERT_EQ(Expected.size(), Actual.size());
+  for (const auto &[Header, Body] : Expected) {
+    auto It = Actual.find(Header);
+    ASSERT_NE(It, Actual.end()) << "missing " << Header;
+    EXPECT_EQ(Body, It->second) << Header;
   }
 }
 

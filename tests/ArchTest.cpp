@@ -109,6 +109,33 @@ TEST(ArchFileTest, RejectsUnknownKeysAndBadValues) {
   EXPECT_NE(R4.getError().find("line 1"), std::string::npos);
 }
 
+// Geometries the cache models cannot divide into sets of whole lines are
+// rejected by the parser instead of reaching the models' asserts (the
+// text can arrive over the ltp-serve socket as arch_text).
+TEST(ArchFileTest, RejectsDegenerateCacheGeometry) {
+  auto TinyL1 = parseArchParams("l1.size = 1\n");
+  EXPECT_FALSE(static_cast<bool>(TinyL1));
+  EXPECT_NE(TinyL1.getError().find("l1.size"), std::string::npos);
+
+  auto ShortLine = parseArchParams("l1.line = 2\n");
+  EXPECT_FALSE(static_cast<bool>(ShortLine));
+  EXPECT_NE(ShortLine.getError().find("l1.line"), std::string::npos);
+
+  auto ShortL2Line = parseArchParams("l2.line = 4\n");
+  EXPECT_FALSE(static_cast<bool>(ShortL2Line));
+  EXPECT_NE(ShortL2Line.getError().find("l2.line"), std::string::npos);
+
+  // One byte short of one set of 16 ways x 64-byte lines.
+  auto TinyL2 = parseArchParams("l2.ways = 16\nl2.size = 1023\n");
+  EXPECT_FALSE(static_cast<bool>(TinyL2));
+  EXPECT_NE(TinyL2.getError().find("l2.size"), std::string::npos);
+
+  // Exactly one set is the smallest accepted geometry.
+  auto OneSet = parseArchParams("l1.ways = 2\nl1.line = 8\nl1.size = 16\n");
+  ASSERT_TRUE(static_cast<bool>(OneSet)) << OneSet.getError();
+  EXPECT_EQ(OneSet->L1.numSets(), 1);
+}
+
 TEST(ArchFileTest, LoadReportsMissingFile) {
   auto R = loadArchParams("/nonexistent/arch.conf");
   EXPECT_FALSE(static_cast<bool>(R));

@@ -46,6 +46,12 @@ struct ClassCase {
   bool WantNTI;
 };
 
+// Without this gtest lists the parameter as its raw bytes -- a string
+// pointer and padding -- so the test names changed with every build.
+void PrintTo(const ClassCase &Case, std::ostream *OS) {
+  *OS << '"' << Case.Name << '"';
+}
+
 class ClassifierSuite : public ::testing::TestWithParam<ClassCase> {};
 
 TEST_P(ClassifierSuite, MatchesPaperTable) {

@@ -13,6 +13,7 @@
 #include "benchmarks/Benchmarks.h"
 #include "benchmarks/PipelineRunner.h"
 #include "core/Optimizer.h"
+#include "lang/Func.h"
 #include "lang/ScheduleText.h"
 #include "obs/Telemetry.h"
 #include "serve/OptimizerService.h"
@@ -22,6 +23,8 @@
 
 #include <cerrno>
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <string>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -40,13 +43,12 @@ namespace {
 TEST(ServeProtocol, ParsesFullRequestAndDefaults) {
   auto Req = parseRequest(
       "{\"op\": \"optimize\", \"kernel\": \"matmul\", \"size\": 64, "
-      "\"arch\": \"6700\", \"score_mode\": \"analytic\", \"nti\": false, "
+      "\"arch\": \"6700\", \"nti\": false, "
       "\"compile\": false, \"id\": \"r1\"}");
   ASSERT_TRUE(static_cast<bool>(Req)) << Req.getError();
   EXPECT_EQ(Req->Kernel, "matmul");
   EXPECT_EQ(Req->Size, 64);
   EXPECT_EQ(Req->ArchName, "6700");
-  EXPECT_EQ(Req->ScoreModeText, "analytic");
   EXPECT_FALSE(Req->EnableNTI);
   EXPECT_FALSE(Req->Compile);
   EXPECT_EQ(Req->Id, "r1");
@@ -148,6 +150,33 @@ TEST(ServePlanApply, MatchesMonolithicOptimize) {
 }
 
 //===----------------------------------------------------------------------===//
+// Kernel construction on concurrent request threads
+//===----------------------------------------------------------------------===//
+
+// The daemon builds each request's kernel on that request's thread. A
+// reduction domain built on another thread, with the same variable name
+// and still alive, must not capture this thread's update definition.
+TEST(ServeKernelBuild, RDomNamesResolvePerThread) {
+  Var J("j");
+  InputBuffer In("In", ir::Type::float32(), 2);
+  RDom Mine(0, 10, "k");
+
+  std::unique_ptr<RDom> Theirs;
+  std::thread Other([&] { Theirs = std::make_unique<RDom>(0, 20, "k"); });
+  Other.join();
+  ASSERT_NE(Theirs, nullptr);
+
+  Func Sum("Sum");
+  Sum(J) = 0.0f;
+  Sum(J) += In(J, Mine);
+  ASSERT_EQ(Sum.numUpdates(), 1);
+  const Definition &Update = Sum.updateDefinition(0);
+  ASSERT_EQ(Update.RVars.size(), 1u);
+  EXPECT_EQ(ir::asConstInt(Update.RVars[0].Extent.node()),
+            std::optional<int64_t>(10));
+}
+
+//===----------------------------------------------------------------------===//
 // OptimizerService
 //===----------------------------------------------------------------------===//
 
@@ -161,7 +190,7 @@ Request optimizeRequest(const std::string &Kernel, int64_t Size,
   return Req;
 }
 
-TEST(ServeService, RejectsUnknownKernelAndBadMode) {
+TEST(ServeService, RejectsUnknownKernelAndBadArch) {
   OptimizerService Service;
   Request Req = optimizeRequest("frobnicate", 32);
   Response R = Service.handle(Req);
@@ -169,7 +198,7 @@ TEST(ServeService, RejectsUnknownKernelAndBadMode) {
   EXPECT_EQ(R.Kind, ErrorKind::BadRequest);
 
   Req = optimizeRequest("copy", 32);
-  Req.ScoreModeText = "bogus";
+  Req.ArchName = "bogus";
   R = Service.handle(Req);
   EXPECT_FALSE(R.Ok);
   EXPECT_EQ(R.Kind, ErrorKind::BadRequest);
@@ -440,6 +469,45 @@ TEST(ServeServer, SocketRoundTrip) {
   }
   Waiter.join();
   EXPECT_NE(::access(Path.c_str(), F_OK), 0); // socket unlinked
+}
+
+// Requests the daemon cannot serve get a classified bad_request and the
+// connection keeps answering: a retired field (score_mode: there is one
+// scoring path) and platform text whose caches cannot be divided into
+// sets of whole lines.
+TEST(ServeServer, BadFieldsAndArchTextAreBadRequests) {
+  std::string Path = "/tmp/ltp-serve-badreq-" +
+                     std::to_string(static_cast<long>(::getpid())) + ".sock";
+  Server Srv(Path);
+  std::string Error;
+  ASSERT_TRUE(Srv.start(&Error)) << Error;
+  std::thread Waiter([&] { Srv.wait(); });
+
+  {
+    ClientConn Conn(Path);
+    ASSERT_TRUE(Conn.ok());
+    const char *BadRequests[] = {
+        "{\"kernel\": \"matmul\", \"size\": 32, \"arch\": \"6700\", "
+        "\"score_mode\": \"sim\", \"compile\": false}",
+        "{\"kernel\": \"matmul\", \"size\": 32, "
+        "\"arch_text\": \"l1.size = 1\\n\", \"compile\": false}",
+        "{\"kernel\": \"matmul\", \"size\": 32, "
+        "\"arch_text\": \"l1.line = 2\\n\", \"compile\": false}",
+    };
+    for (const char *Line : BadRequests) {
+      std::string R = Conn.roundTrip(Line);
+      EXPECT_NE(R.find("\"ok\": false"), std::string::npos) << Line;
+      EXPECT_NE(R.find("\"kind\": \"bad_request\""), std::string::npos)
+          << Line << " -> " << R;
+    }
+    std::string Good = Conn.roundTrip(
+        "{\"kernel\": \"matmul\", \"size\": 32, \"arch\": \"6700\", "
+        "\"compile\": false}");
+    EXPECT_NE(Good.find("\"ok\": true"), std::string::npos) << Good;
+    EXPECT_NE(Conn.roundTrip("{\"op\": \"shutdown\"}").find("\"stopping\""),
+              std::string::npos);
+  }
+  Waiter.join();
 }
 
 } // namespace

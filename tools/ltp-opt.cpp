@@ -10,9 +10,8 @@
 // Usage:
 //   ltp-opt <benchmark>|all [--arch 5930k|6700|a15|host] [--size N]
 //           [--schedule "<directives>"] [--emit-c] [--simulate]
-//           [--score-mode analytic|sim|auto] [--no-nti] [--run]
-//           [--compile] [--verify] [--lint] [--lint-fix] [--json]
-//           [--explain] [--trace-json FILE]
+//           [--no-nti] [--run] [--compile] [--verify] [--lint]
+//           [--lint-fix] [--json] [--explain] [--trace-json FILE]
 //
 // Exit codes: 0 success; 2 the schedule text was rejected (parse error,
 // legality verifier, or a lint/verify diagnostic of Error severity); 1
@@ -38,7 +37,6 @@
 #include "core/Optimizer.h"
 #include "ir/IRPrinter.h"
 #include "lang/ScheduleText.h"
-#include "model/ScoreMode.h"
 #include "obs/Provenance.h"
 #include "obs/Telemetry.h"
 #include "support/ArgParse.h"
@@ -71,12 +69,6 @@ void printUsage() {
       "  --emit-c                     print the generated C kernel(s)\n"
       "  --simulate                   run the cache simulator and report "
       "misses\n"
-      "  --score-mode analytic|sim|auto\n"
-      "                               candidate scoring path: closed-form "
-      "miss model,\n"
-      "                               cache emulation/simulation, or "
-      "closed-form with\n"
-      "                               automatic fallback (default auto)\n"
       "  --no-nti                     disable non-temporal stores\n"
       "  --run                        JIT-compile and time the pipeline\n"
       "  --compile                    JIT-compile the pipeline into the\n"
@@ -165,10 +157,8 @@ void printDiagnostic(const lint::Diagnostic &D, const std::string &Text) {
 /// residual report is what decides the exit code. Returns 0 when no
 /// Error-severity rule fired, 2 otherwise.
 int runLint(BenchmarkInstance &Instance, const BenchmarkDef *Def,
-            const ArgParse &Args, const ArchParams &Arch,
-            model::ScoreMode Mode) {
-  lint::LintOptions Options;
-  Options.Score = Mode;
+            const ArgParse &Args, const ArchParams &Arch) {
+  const lint::LintOptions Options;
   const bool Json = Args.has("json");
   bool AnyErrors = false;
   std::string Schedules, Diags;
@@ -234,16 +224,6 @@ int processBenchmark(const BenchmarkDef *Def, const ArgParse &Args,
   int64_t Size = Args.getInt("size", Def->DefaultSize);
   BenchmarkInstance Instance = Def->Create(Size);
 
-  // Validate before any output so a typo'd mode fails fast.
-  model::ScoreMode Mode = model::ScoreMode::Auto;
-  if (!model::parseScoreMode(Args.getString("score-mode", "auto").c_str(),
-                             Mode)) {
-    std::fprintf(stderr,
-                 "error: bad --score-mode '%s' (want analytic|sim|auto)\n",
-                 Args.getString("score-mode", "").c_str());
-    return 1;
-  }
-
   std::printf("benchmark : %s (%s), size %lld\n", Def->Name.c_str(),
               Def->Description.c_str(), static_cast<long long>(Size));
   std::printf("platform  : %s\n\n", describe(Arch).c_str());
@@ -267,7 +247,6 @@ int processBenchmark(const BenchmarkDef *Def, const ArgParse &Args,
     for (size_t S = 0; S != Instance.Stages.size(); ++S) {
       OptimizerOptions Options;
       Options.EnableNonTemporal = !Args.has("no-nti");
-      Options.Temporal.Score = Mode;
       OptimizationResult R = optimize(
           Instance.Stages[S], Instance.StageExtents[S], Arch, Options);
       std::printf("stage %zu (%s): class=%s, %.2f ms to optimize\n  %s\n",
@@ -286,7 +265,7 @@ int processBenchmark(const BenchmarkDef *Def, const ArgParse &Args,
   }
 
   if (Args.has("lint") || Args.has("lint-fix"))
-    return runLint(Instance, Def, Args, Arch, Mode);
+    return runLint(Instance, Def, Args, Arch);
 
   if (Args.has("verify")) {
     bool AnyErrors = false;
