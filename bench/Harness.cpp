@@ -3,7 +3,7 @@
 #include "bench/Harness.h"
 
 #include "core/TemporalOptimizer.h"
-#include "obs/Log.h"
+#include "obs/Metrics.h"
 #include "obs/Telemetry.h"
 #include "support/Format.h"
 #include "support/Timer.h"
@@ -179,11 +179,12 @@ void ltp::bench::printJITStats(const JITCompiler &Compiler) {
   // The values come from the shared telemetry registry (kept in lockstep
   // with the compiler's own members); the line format is a CI contract —
   // the cold/warm disk-cache smoke greps `cc invocations : N`.
+  obs::MetricsSnapshot Snap = obs::snapshot();
   std::printf("JIT stats        : cc invocations : %d | memo hits : %d | "
               "disk hits : %d\n",
-              static_cast<int>(obs::counter("jit.cc_invocations").value()),
-              static_cast<int>(obs::counter("jit.memo.hit").value()),
-              static_cast<int>(obs::counter("jit.disk_hits").value()));
+              static_cast<int>(Snap.counter("jit.cc_invocations")),
+              static_cast<int>(Snap.counter("jit.memo.hit")),
+              static_cast<int>(Snap.counter("jit.disk_hits")));
   std::printf("kernel cache     : %s\n", Compiler.cacheDir().c_str());
 }
 
@@ -218,20 +219,19 @@ void flushTelemetry() {
   }
   if (State.ReportPath.empty())
     return;
-  std::ofstream Out(State.ReportPath);
-  Out << "{\n  \"bench\": \"" << obs::jsonEscape(State.BenchName) << "\",\n";
+  obs::JsonWriter W;
+  W.beginObject().key("bench").string(State.BenchName);
   if (!State.SkipReason.empty())
-    Out << "  \"skipped\": \"" << obs::jsonEscape(State.SkipReason) << "\",\n";
-  Out << "  \"results\": [";
-  for (size_t I = 0; I != State.Rows.size(); ++I)
-    Out << (I ? ",\n    " : "\n    ") << State.Rows[I];
-  Out << (State.Rows.empty() ? "]" : "\n  ]") << ",\n  \"counters\": {";
-  std::vector<std::pair<std::string, int64_t>> Counters =
-      obs::counterSnapshot();
-  for (size_t I = 0; I != Counters.size(); ++I)
-    Out << (I ? ",\n    " : "\n    ") << '"'
-        << obs::jsonEscape(Counters[I].first) << "\": " << Counters[I].second;
-  Out << (Counters.empty() ? "}" : "\n  }") << "\n}\n";
+    W.key("skipped").string(State.SkipReason);
+  W.key("results").beginArray();
+  for (const std::string &Row : State.Rows)
+    W.raw(Row);
+  W.endArray().key("counters").beginObject();
+  for (const auto &[Name, Value] : obs::snapshot().Counters)
+    W.key(Name).integer(Value);
+  W.endObject().endObject();
+  std::ofstream Out(State.ReportPath);
+  Out << W.str() << '\n';
   Out.flush();
   if (!Out.good())
     std::fprintf(stderr, "warning: cannot write bench report %s\n",
@@ -262,23 +262,22 @@ void ltp::bench::setupTelemetry(const ArgParse &Args,
   }
 }
 
-void ltp::bench::reportResult(const std::string &Bench,
-                              const std::string &Config,
-                              const TimingStats &Stats,
-                              const std::string &ExtraJson) {
+void ltp::bench::reportResult(
+    const std::string &Bench, const std::string &Config,
+    const TimingStats &Stats,
+    const std::function<void(obs::JsonWriter &)> &Extra) {
   TelemetryState &State = telemetryState();
   if (State.ReportPath.empty())
     return;
-  std::string Row = strFormat(
-      "{\"bench\": \"%s\", \"config\": \"%s\", \"best_s\": %.9g, "
-      "\"median_s\": %.9g, \"stddev_s\": %.9g, \"runs\": %d",
-      obs::jsonEscape(Bench).c_str(), obs::jsonEscape(Config).c_str(),
-      Stats.BestSeconds, Stats.MedianSeconds, Stats.StddevSeconds,
-      Stats.Runs);
-  if (!ExtraJson.empty())
-    Row += ", " + ExtraJson;
-  Row += "}";
-  State.Rows.push_back(std::move(Row));
+  obs::JsonWriter W;
+  W.beginObject().key("bench").string(Bench).key("config").string(Config);
+  W.key("best_s").general(Stats.BestSeconds, 9);
+  W.key("median_s").general(Stats.MedianSeconds, 9);
+  W.key("stddev_s").general(Stats.StddevSeconds, 9);
+  W.key("runs").integer(Stats.Runs);
+  if (Extra)
+    Extra(W);
+  State.Rows.push_back(W.endObject().take());
 }
 
 void ltp::bench::reportSkipped(const std::string &Reason) {
@@ -286,12 +285,11 @@ void ltp::bench::reportSkipped(const std::string &Reason) {
 }
 
 void ltp::bench::printTelemetryFooter() {
-  std::vector<std::pair<std::string, int64_t>> Counters =
-      obs::counterSnapshot();
-  if (Counters.empty())
+  obs::MetricsSnapshot Snap = obs::snapshot();
+  if (Snap.Counters.empty())
     return;
   std::printf("telemetry        :");
-  for (const auto &[Name, Value] : Counters)
+  for (const auto &[Name, Value] : Snap.Counters)
     std::printf(" %s=%lld", Name.c_str(), static_cast<long long>(Value));
   std::printf("\n");
 }

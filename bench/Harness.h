@@ -18,9 +18,11 @@
 #include "baselines/Baselines.h"
 #include "benchmarks/PipelineRunner.h"
 #include "core/Optimizer.h"
+#include "obs/JsonWriter.h"
 #include "support/ArgParse.h"
 
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -100,11 +102,11 @@ std::string formatMillis(double Seconds);
 void setupTelemetry(const ArgParse &Args, const std::string &BenchName);
 
 /// Adds one row to the machine-readable report (no-op without --json).
-/// \p ExtraJson, when non-empty, is a raw JSON fragment of additional
-/// fields, e.g. "\"throughput\":1.5" (no leading comma).
+/// \p Extra, when set, writes additional members into the row object,
+/// e.g. `[&](obs::JsonWriter &W) { W.key("throughput").fixed(Rps, 2); }`.
 void reportResult(const std::string &Bench, const std::string &Config,
                   const TimingStats &Stats,
-                  const std::string &ExtraJson = "");
+                  const std::function<void(obs::JsonWriter &)> &Extra = {});
 
 /// Marks the whole bench as skipped in the machine-readable report
 /// (`"skipped": "<reason>"`). Call on SKIPPED early-exit paths before

@@ -177,11 +177,12 @@ int main(int Argc, char **Argv) {
       printRow({Def.Name, schedulerName(R.S), TimeText, SpreadText, RelText,
                 SimText, R.Description.substr(0, 60)},
                Widths);
-      std::string Extra = strFormat("\"size\": %lld",
-                                    static_cast<long long>(Size));
-      if (Sim && R.SimCycles > 0.0)
-        Extra += strFormat(", \"sim_cycles\": %.9g", R.SimCycles);
-      reportResult(Def.Name, schedulerName(R.S), R.Stats, Extra);
+      reportResult(Def.Name, schedulerName(R.S), R.Stats,
+                   [&](obs::JsonWriter &W) {
+                     W.key("size").integer(Size);
+                     if (Sim && R.SimCycles > 0.0)
+                       W.key("sim_cycles").general(R.SimCycles, 9);
+                   });
     }
     std::printf("\n");
   }

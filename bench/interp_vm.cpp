@@ -74,10 +74,10 @@ int main(int Argc, char **Argv) {
             "jit/vm", "verify"},
            Widths);
 
-  std::string Json = "[";
+  obs::JsonWriter Json;
+  Json.beginArray();
   double LogVMSpeedup = 0.0, LogJITOverVM = 0.0;
   int Counted = 0, JITCounted = 0;
-  bool First = true;
   for (const BenchmarkDef &Def : allBenchmarks()) {
     const int64_t Size = benchSize(Def.Name, Scale);
     // Identical creation seeds: all three instances see bitwise-equal
@@ -121,16 +121,16 @@ int main(int Argc, char **Argv) {
               Verified ? "ok" : "MISMATCH"},
              Widths);
 
-    Json += strFormat(
-        "%s{\"kernel\":\"%s\",\"size\":%lld,\"ref_ms\":%.3f,"
-        "\"vm_ms\":%.3f,\"jit_ms\":%.3f,\"vm_speedup\":%.2f,"
-        "\"jit_over_vm\":%.2f,\"verified\":%s}",
-        First ? "" : ",", Def.Name.c_str(), static_cast<long long>(Size),
-        RefSeconds * 1e3, VMSeconds * 1e3, JITSeconds * 1e3, VMSpeedup,
-        JITOverVM, Verified ? "true" : "false");
-    First = false;
+    Json.beginObject().key("kernel").string(Def.Name).key("size").integer(
+        Size);
+    Json.key("ref_ms").fixed(RefSeconds * 1e3, 3);
+    Json.key("vm_ms").fixed(VMSeconds * 1e3, 3);
+    Json.key("jit_ms").fixed(JITSeconds * 1e3, 3);
+    Json.key("vm_speedup").fixed(VMSpeedup, 2);
+    Json.key("jit_over_vm").fixed(JITOverVM, 2);
+    Json.key("verified").boolean(Verified).endObject();
   }
-  Json += "]";
+  Json.endArray();
 
   std::printf("\ngeomean: vm %.1fx over reference walker",
               Counted ? std::exp(LogVMSpeedup / Counted) : 0.0);
@@ -142,6 +142,6 @@ int main(int Argc, char **Argv) {
     printJITStats(Compiler);
   }
   printTelemetryFooter();
-  std::printf("\n%s\n", Json.c_str());
+  std::printf("\n%s\n", Json.str().c_str());
   return 0;
 }

@@ -201,20 +201,18 @@ int main(int Argc, char **Argv) {
     Stats.MedianSeconds = Millis / 1e3;
     Stats.StddevSeconds = 0.0;
     Stats.Runs = Runs;
-    std::string Extra =
-        strFormat("\"pred_l1_miss_rate\": %.6g, "
-                  "\"meas_l1_miss_rate\": %.6g, "
-                  "\"pred_llc_miss_rate\": %.6g, "
-                  "\"meas_llc_miss_rate\": %.6g, "
-                  "\"analytic\": %s",
-                  PredL1, MeasL1, PredLLC, MeasLLC,
-                  AnlOk ? "true" : "false");
-    if (AnlOk)
-      Extra += strFormat(", \"anl_l1_miss_rate\": %.6g, "
-                         "\"anl_l1_misses\": %.6g, "
-                         "\"anl_l2_misses\": %.6g",
-                         AnlL1, AnlL1Misses, AnlL2Misses);
-    reportResult(Def.Name, "model_validation", Stats, Extra);
+    reportResult(Def.Name, "model_validation", Stats, [&](obs::JsonWriter &W) {
+      W.key("pred_l1_miss_rate").general(PredL1, 6);
+      W.key("meas_l1_miss_rate").general(MeasL1, 6);
+      W.key("pred_llc_miss_rate").general(PredLLC, 6);
+      W.key("meas_llc_miss_rate").general(MeasLLC, 6);
+      W.key("analytic").boolean(AnlOk);
+      if (AnlOk) {
+        W.key("anl_l1_miss_rate").general(AnlL1, 6);
+        W.key("anl_l1_misses").general(AnlL1Misses, 6);
+        W.key("anl_l2_misses").general(AnlL2Misses, 6);
+      }
+    });
   }
 
   std::printf("\nNote: the simulator replays *kernel* accesses only; the "

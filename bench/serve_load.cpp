@@ -38,6 +38,7 @@
 
 #include "bench/Harness.h"
 
+#include "obs/JsonCheck.h"
 #include "obs/Log.h"
 #include "obs/Metrics.h"
 #include "obs/Telemetry.h"
@@ -88,9 +89,11 @@ std::vector<LoadRequest> buildPool(int Unique) {
         R.Kernel = Kernel;
         R.Size = Size;
         R.Arch = Arch;
-        R.Line = strFormat("{\"op\": \"optimize\", \"kernel\": \"%s\", "
-                           "\"size\": %lld, \"arch\": \"%s\"}",
-                           Kernel, static_cast<long long>(Size), Arch);
+        obs::JsonWriter W;
+        W.beginObject().key("op").string("optimize").key("kernel").string(
+            Kernel);
+        W.key("size").integer(Size).key("arch").string(Arch).endObject();
+        R.Line = W.take();
         Pool.push_back(std::move(R));
       }
   return Pool;
@@ -143,6 +146,12 @@ bool readLine(int Fd, std::string &Buffer, std::string &Line) {
   Line = Buffer.substr(0, Pos);
   Buffer.erase(0, Pos + 1);
   return true;
+}
+
+/// True when the reply \p Reply carries `"ok": true`.
+bool replyOk(const obs::JsonValue *Reply) {
+  const obs::JsonValue *Ok = Reply ? Reply->find("ok") : nullptr;
+  return Ok && Ok->BoolValue;
 }
 
 struct Sample {
@@ -265,7 +274,7 @@ int main(int Argc, char **Argv) {
     std::string Buffer, Line;
     for (const LoadRequest &R : Pool) {
       if (!sendLine(WarmFd, R.Line) || !readLine(WarmFd, Buffer, Line) ||
-          Line.find("\"ok\": true") == std::string::npos) {
+          !replyOk(obs::parseJson(Line, nullptr).get())) {
         std::fprintf(stderr, "error: warmup request failed: %s\n",
                      Line.c_str());
         reportSkipped("warmup request failed");
@@ -312,9 +321,11 @@ int main(int Argc, char **Argv) {
         Sample &S = Phase.Samples[I];
         S.Millis =
             std::chrono::duration<double, std::milli>(T1 - T0).count();
-        S.Ok = Ok && Line.find("\"ok\": true") != std::string::npos;
-        S.WarmHit = Ok && Line.find("\"dedup\": \"cached\"") !=
-                              std::string::npos;
+        std::unique_ptr<obs::JsonValue> Reply =
+            Ok ? obs::parseJson(Line, nullptr) : nullptr;
+        S.Ok = replyOk(Reply.get());
+        const obs::JsonValue *Dedup = Reply ? Reply->find("dedup") : nullptr;
+        S.WarmHit = Dedup && Dedup->StringValue == "cached";
         if (!S.Ok)
           Failures.fetch_add(1);
       }
@@ -435,26 +446,31 @@ int main(int Argc, char **Argv) {
   Stats.BestSeconds = P50 / 1e3;
   Stats.MedianSeconds = P50 / 1e3;
   Stats.Runs = static_cast<int>(OnPhase.OkCount);
-  reportResult(
-      "serve_load", "mixed", Stats,
-      strFormat("\"seed\":%u,\"p50_ms\":%.4f,\"p99_ms\":%.4f,"
-                "\"warm_p50_ms\":%.4f,\"throughput_rps\":%.2f,"
-                "\"dedup_hit_rate\":%.4f,\"kcache_hit_rate\":%.4f,"
-                "\"speedup_vs_spawn\":%.2f,"
-                "\"latency\":{\"p50\":%.4f,\"p90\":%.4f,\"p99\":%.4f,"
-                "\"p999\":%.4f}",
-                Seed, P50, P99, WarmP50, Rps, DedupRate, StoreRate,
-                Speedup, P50, P90, P99, P999));
+  reportResult("serve_load", "mixed", Stats, [&](obs::JsonWriter &W) {
+    W.key("seed").integer(Seed);
+    W.key("p50_ms").fixed(P50, 4).key("p99_ms").fixed(P99, 4);
+    W.key("warm_p50_ms").fixed(WarmP50, 4);
+    W.key("throughput_rps").fixed(Rps, 2);
+    W.key("dedup_hit_rate").fixed(DedupRate, 4);
+    W.key("kcache_hit_rate").fixed(StoreRate, 4);
+    W.key("speedup_vs_spawn").fixed(Speedup, 2);
+    W.key("latency").beginObject();
+    W.key("p50").fixed(P50, 4).key("p90").fixed(P90, 4);
+    W.key("p99").fixed(P99, 4).key("p999").fixed(P999, 4);
+    W.endObject();
+  });
   TimingStats OffStats;
   OffStats.BestSeconds = OffP50 / 1e3;
   OffStats.MedianSeconds = OffP50 / 1e3;
   OffStats.Runs = static_cast<int>(OffPhase.OkCount);
-  reportResult(
-      "serve_load", "metrics_off", OffStats,
-      strFormat("\"seed\":%u,\"p50_ms\":%.4f,\"p99_ms\":%.4f,"
-                "\"throughput_rps\":%.2f,"
-                "\"latency\":{\"p50\":%.4f,\"p99\":%.4f}",
-                Seed, OffP50, OffP99, OffRps, OffP50, OffP99));
+  reportResult("serve_load", "metrics_off", OffStats, [&](obs::JsonWriter &W) {
+    W.key("seed").integer(Seed);
+    W.key("p50_ms").fixed(OffP50, 4).key("p99_ms").fixed(OffP99, 4);
+    W.key("throughput_rps").fixed(OffRps, 2);
+    W.key("latency").beginObject();
+    W.key("p50").fixed(OffP50, 4).key("p99").fixed(OffP99, 4);
+    W.endObject();
+  });
   printTelemetryFooter();
 
   // Failures or a saturated-error run are a real regression even when the

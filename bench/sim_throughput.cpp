@@ -82,7 +82,8 @@ int main(int Argc, char **Argv) {
            Widths);
 
   JITCompiler Compiler;
-  std::string Json = "[";
+  obs::JsonWriter Json;
+  Json.beginArray();
   for (size_t C = 0; C != Cases.size(); ++C) {
     const Case &K = Cases[C];
     const BenchmarkDef *Def = findBenchmark(K.Benchmark);
@@ -126,25 +127,24 @@ int main(int Argc, char **Argv) {
               strFormat("%.1fx", VMSpeedup), Identical ? "yes" : "NO"},
              Widths);
 
-    Json += strFormat(
-        "%s{\"kernel\":\"%s\",\"accesses\":%llu,\"fast_path\":%s,"
-        "\"fast_engine\":\"%s\",\"interp_engine\":\"%s\","
-        "\"ref_engine\":\"%s\","
-        "\"fast_accesses_per_sec\":%.0f,\"vm_accesses_per_sec\":%.0f,"
-        "\"ref_accesses_per_sec\":%.0f,"
-        "\"speedup\":%.2f,\"vm_speedup\":%.2f,\"stats_identical\":%s}",
-        C == 0 ? "" : ",", K.Name,
-        static_cast<unsigned long long>(Interp.Accesses),
-        Fast.FastPath ? "true" : "false", traceEngineName(Fast.Engine),
-        traceEngineName(Interp.Engine), traceEngineName(Ref.Engine),
-        FastRate, InterpRate, RefRate, FastSpeedup, VMSpeedup,
-        Identical ? "true" : "false");
+    Json.beginObject().key("kernel").string(K.Name);
+    Json.key("accesses").integer(static_cast<int64_t>(Interp.Accesses));
+    Json.key("fast_path").boolean(Fast.FastPath);
+    Json.key("fast_engine").string(traceEngineName(Fast.Engine));
+    Json.key("interp_engine").string(traceEngineName(Interp.Engine));
+    Json.key("ref_engine").string(traceEngineName(Ref.Engine));
+    Json.key("fast_accesses_per_sec").fixed(FastRate, 0);
+    Json.key("vm_accesses_per_sec").fixed(InterpRate, 0);
+    Json.key("ref_accesses_per_sec").fixed(RefRate, 0);
+    Json.key("speedup").fixed(FastSpeedup, 2);
+    Json.key("vm_speedup").fixed(VMSpeedup, 2);
+    Json.key("stats_identical").boolean(Identical).endObject();
   }
-  Json += "]";
+  Json.endArray();
   // Engine selection now lands in the registry (sim.engine.* counters);
   // the per-kernel engines remain in the JSON blob below.
   std::printf("\n");
   printTelemetryFooter();
-  std::printf("\n%s\n", Json.c_str());
+  std::printf("\n%s\n", Json.str().c_str());
   return 0;
 }

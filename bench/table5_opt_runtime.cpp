@@ -114,11 +114,12 @@ int main(int Argc, char **Argv) {
     TimingStats Stats;
     Stats.BestSeconds = Best.Seconds;
     Stats.Runs = Runs;
-    reportResult(Def.Name, "analytic", Stats,
-                 strFormat("\"classify_ms\":%.4f,\"temporal_ms\":%.4f,"
-                           "\"spatial_ms\":%.4f,\"candidates\":%lld",
-                           Best.ClassifyMs, Best.TemporalMs, Best.SpatialMs,
-                           static_cast<long long>(Best.Candidates)));
+    reportResult(Def.Name, "analytic", Stats, [&](obs::JsonWriter &W) {
+      W.key("classify_ms").fixed(Best.ClassifyMs, 4);
+      W.key("temporal_ms").fixed(Best.TemporalMs, 4);
+      W.key("spatial_ms").fixed(Best.SpatialMs, 4);
+      W.key("candidates").integer(Best.Candidates);
+    });
   }
 
   std::printf("\ntotal: %.4f s, %lld candidates\n", TotalSeconds,
@@ -127,9 +128,9 @@ int main(int Argc, char **Argv) {
     TimingStats Stats;
     Stats.BestSeconds = TotalSeconds;
     Stats.Runs = Runs;
-    reportResult("total", "analytic", Stats,
-                 strFormat("\"candidates\":%lld",
-                           static_cast<long long>(TotalCandidates)));
+    reportResult("total", "analytic", Stats, [&](obs::JsonWriter &W) {
+      W.key("candidates").integer(TotalCandidates);
+    });
   }
   printTelemetryFooter();
   return 0;

@@ -7,7 +7,7 @@
 #include "lang/ScheduleText.h"
 #include "model/CacheEmu.h"
 #include "model/TileBound.h"
-#include "obs/Log.h"
+#include "obs/JsonWriter.h"
 #include "support/Format.h"
 
 #include <algorithm>
@@ -960,16 +960,17 @@ std::string ltp::lint::applyLintFixes(const LintReport &Report) {
 }
 
 std::string ltp::lint::diagnosticJson(const Diagnostic &D, int StageOrdinal) {
-  std::string Out = strFormat(
-      "{\"stage\": %d, \"rule\": \"%s\", \"severity\": \"%s\", "
-      "\"offset\": %zu, \"length\": %zu, \"message\": \"%s\"",
-      StageOrdinal, D.RuleId.c_str(), severityName(D.Sev), D.Offset,
-      D.Length, obs::jsonEscape(D.Message).c_str());
-  if (D.HasFixIt)
-    Out += strFormat(
-        ", \"fixit\": {\"offset\": %zu, \"length\": %zu, "
-        "\"replacement\": \"%s\"}",
-        D.Fix.Offset, D.Fix.Length, obs::jsonEscape(D.Fix.Replacement).c_str());
-  Out += "}";
-  return Out;
+  obs::JsonWriter W;
+  W.beginObject().key("stage").integer(StageOrdinal);
+  W.key("rule").string(D.RuleId).key("severity").string(severityName(D.Sev));
+  W.key("offset").integer(static_cast<int64_t>(D.Offset));
+  W.key("length").integer(static_cast<int64_t>(D.Length));
+  W.key("message").string(D.Message);
+  if (D.HasFixIt) {
+    W.key("fixit").beginObject();
+    W.key("offset").integer(static_cast<int64_t>(D.Fix.Offset));
+    W.key("length").integer(static_cast<int64_t>(D.Fix.Length));
+    W.key("replacement").string(D.Fix.Replacement).endObject();
+  }
+  return W.endObject().take();
 }

@@ -187,20 +187,20 @@ ErrorOr<ArchParams> ltp::loadArchParams(const std::string &Path) {
 std::string ltp::archParamsToText(const ArchParams &Arch) {
   std::string Out;
   Out += strFormat("name = %s\n", Arch.Name.c_str());
-  Out += strFormat("l1.size = %lldK\n",
-                   static_cast<long long>(Arch.L1.SizeBytes / 1024));
+  Out += strFormat("l1.size = %lld\n",
+                   static_cast<long long>(Arch.L1.SizeBytes));
   Out += strFormat("l1.ways = %lld\n",
                    static_cast<long long>(Arch.L1.Ways));
   Out += strFormat("l1.line = %lld\n",
                    static_cast<long long>(Arch.L1.LineBytes));
-  Out += strFormat("l2.size = %lldK\n",
-                   static_cast<long long>(Arch.L2.SizeBytes / 1024));
+  Out += strFormat("l2.size = %lld\n",
+                   static_cast<long long>(Arch.L2.SizeBytes));
   Out += strFormat("l2.ways = %lld\n",
                    static_cast<long long>(Arch.L2.Ways));
   Out += strFormat("l2.line = %lld\n",
                    static_cast<long long>(Arch.L2.LineBytes));
-  Out += strFormat("l3.size = %lldK\n",
-                   static_cast<long long>(Arch.L3.SizeBytes / 1024));
+  Out += strFormat("l3.size = %lld\n",
+                   static_cast<long long>(Arch.L3.SizeBytes));
   Out += strFormat("l3.ways = %lld\n",
                    static_cast<long long>(Arch.L3.Ways));
   Out += strFormat("cores = %d\n", Arch.NCores);
@@ -216,7 +216,7 @@ std::string ltp::archParamsToText(const ArchParams &Arch) {
                    Arch.L2MaxPrefetchDistance);
   Out += strFormat("l2_streamer_trains = %d\n", Arch.L2StreamerTrains);
   Out += strFormat("vector_registers = %d\n", Arch.VectorRegisters);
-  Out += strFormat("a2 = %g\n", Arch.A2);
-  Out += strFormat("a3 = %g\n", Arch.A3);
+  Out += strFormat("a2 = %.17g\n", Arch.A2);
+  Out += strFormat("a3 = %.17g\n", Arch.A3);
   return Out;
 }

@@ -2,8 +2,7 @@
 
 #include "obs/FlightRecorder.h"
 
-#include "obs/Log.h"
-#include "support/Format.h"
+#include "obs/JsonWriter.h"
 
 #include <atomic>
 
@@ -11,40 +10,32 @@ using namespace ltp;
 using namespace ltp::obs;
 
 std::string ltp::obs::digestJson(const RequestDigest &D) {
-  std::string Out = "{";
-  Out += strFormat("\"request_id\": \"%s\"", jsonEscape(D.RequestId).c_str());
-  Out += strFormat(", \"op\": \"%s\"", jsonEscape(D.Op).c_str());
+  JsonWriter W;
+  W.beginObject().key("request_id").string(D.RequestId).key("op").string(D.Op);
   if (!D.Kernel.empty())
-    Out += strFormat(", \"kernel\": \"%s\"", jsonEscape(D.Kernel).c_str());
+    W.key("kernel").string(D.Kernel);
   if (!D.KeyHash.empty())
-    Out += strFormat(", \"key\": \"%s\"", jsonEscape(D.KeyHash).c_str());
+    W.key("key").string(D.KeyHash);
   if (!D.Dedup.empty())
-    Out += strFormat(", \"dedup\": \"%s\"", jsonEscape(D.Dedup).c_str());
-  Out += strFormat(", \"ok\": %s", D.Ok ? "true" : "false");
+    W.key("dedup").string(D.Dedup);
+  W.key("ok").boolean(D.Ok);
   if (!D.Error.empty())
-    Out += strFormat(", \"error\": \"%s\"", jsonEscape(D.Error).c_str());
+    W.key("error").string(D.Error);
   if (!D.SoPath.empty())
-    Out += strFormat(", \"so\": \"%s\"", jsonEscape(D.SoPath).c_str());
-  Out += strFormat(", \"unix_ms\": %lld",
-                   static_cast<long long>(D.UnixMillis));
-  Out += strFormat(", \"total_ms\": %.4f", D.TotalMillis);
+    W.key("so").string(D.SoPath);
+  W.key("unix_ms").integer(D.UnixMillis);
+  W.key("total_ms").fixed(D.TotalMillis, 4);
   if (D.OptMillis > 0.0)
-    Out += strFormat(", \"opt_ms\": %.4f", D.OptMillis);
+    W.key("opt_ms").fixed(D.OptMillis, 4);
   if (D.CompileMillis > 0.0)
-    Out += strFormat(", \"compile_ms\": %.4f", D.CompileMillis);
+    W.key("compile_ms").fixed(D.CompileMillis, 4);
   if (!D.StageMillis.empty()) {
-    Out += ", \"stages\": {";
-    bool First = true;
-    for (const auto &[Stage, Millis] : D.StageMillis) {
-      if (!First)
-        Out += ", ";
-      First = false;
-      Out += strFormat("\"%s\": %.4f", jsonEscape(Stage).c_str(), Millis);
-    }
-    Out += "}";
+    W.key("stages").beginObject();
+    for (const auto &[Stage, Millis] : D.StageMillis)
+      W.key(Stage).fixed(Millis, 4);
+    W.endObject();
   }
-  Out += "}";
-  return Out;
+  return W.endObject().take();
 }
 
 FlightRecorder::FlightRecorder(size_t Capacity)
@@ -82,24 +73,20 @@ uint64_t FlightRecorder::totalRecorded() const {
   return Recorded;
 }
 
-std::string FlightRecorder::requestsJsonArray() const {
+void FlightRecorder::writeDump(JsonWriter &W) const {
   std::vector<RequestDigest> Digests = snapshot();
-  std::string Out = "[";
-  for (size_t I = 0; I != Digests.size(); ++I) {
-    if (I != 0)
-      Out += ", ";
-    Out += digestJson(Digests[I]);
-  }
-  Out += "]";
-  return Out;
+  uint64_t Total = totalRecorded();
+  W.key("flight_recorder").beginArray();
+  for (const RequestDigest &D : Digests)
+    W.raw(digestJson(D));
+  W.endArray().key("capacity").integer(static_cast<int64_t>(Cap));
+  W.key("recorded").integer(static_cast<int64_t>(Total));
 }
 
 std::string FlightRecorder::dumpJson() const {
-  uint64_t Total = totalRecorded();
-  return strFormat("{\"flight_recorder\": %s, \"capacity\": %zu, "
-                   "\"recorded\": %llu}",
-                   requestsJsonArray().c_str(), Cap,
-                   static_cast<unsigned long long>(Total));
+  JsonWriter W;
+  writeDump(W.beginObject());
+  return W.endObject().take();
 }
 
 FlightRecorder &ltp::obs::flightRecorder() {

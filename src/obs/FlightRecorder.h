@@ -35,6 +35,8 @@
 namespace ltp {
 namespace obs {
 
+class JsonWriter;
+
 /// What the recorder keeps per request. All timings are milliseconds.
 struct RequestDigest {
   std::string RequestId;
@@ -75,11 +77,12 @@ public:
   /// does not), so a dump shows how much history was evicted.
   uint64_t totalRecorded() const;
 
-  /// The buffered digests as a JSON array, oldest first.
-  std::string requestsJsonArray() const;
+  /// Writes the members `"flight_recorder": [digests, oldest first],
+  /// "capacity": N, "recorded": M` into the object open in \p W (the
+  /// `dump` serve op adds them to its reply).
+  void writeDump(JsonWriter &W) const;
 
-  /// Complete dump object:
-  /// {"flight_recorder":[...],"capacity":N,"recorded":M}.
+  /// The dump members as one complete object.
   std::string dumpJson() const;
 
 private:

@@ -2,8 +2,6 @@
 
 #include "obs/Log.h"
 
-#include "support/Format.h"
-
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -11,40 +9,6 @@
 
 using namespace ltp;
 using namespace ltp::obs;
-
-//===----------------------------------------------------------------------===//
-// Shared JSON escaping
-//===----------------------------------------------------------------------===//
-
-std::string ltp::obs::jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size() + 2);
-  for (unsigned char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (C < 0x20)
-        Out += strFormat("\\u%04x", C);
-      else
-        Out += static_cast<char>(C);
-    }
-  }
-  return Out;
-}
 
 //===----------------------------------------------------------------------===//
 // Levels and sink
@@ -140,40 +104,10 @@ bool ltp::obs::setLogFile(const std::string &Path, std::string *Error) {
 //===----------------------------------------------------------------------===//
 
 LogField LogField::raw(std::string Key, std::string Json) {
-  LogField F(std::move(Key), std::string());
-  F.K = Kind::Raw;
-  F.Str = std::move(Json);
+  LogField F(std::move(Key), false);
+  F.Json = std::move(Json);
   return F;
 }
-
-namespace {
-
-void appendField(std::string &Line, const LogField &F) {
-  Line += ",\"";
-  Line += jsonEscape(F.Key);
-  Line += "\":";
-  switch (F.K) {
-  case LogField::Kind::String:
-    Line += '"';
-    Line += jsonEscape(F.Str);
-    Line += '"';
-    break;
-  case LogField::Kind::Number:
-    Line += strFormat("%.6g", F.Num);
-    break;
-  case LogField::Kind::Integer:
-    Line += strFormat("%lld", static_cast<long long>(F.Int));
-    break;
-  case LogField::Kind::Bool:
-    Line += F.BoolValue ? "true" : "false";
-    break;
-  case LogField::Kind::Raw:
-    Line += F.Str;
-    break;
-  }
-}
-
-} // namespace
 
 void ltp::obs::logEvent(LogLevel L, const std::string &Component,
                         const std::string &Msg,
@@ -183,21 +117,17 @@ void ltp::obs::logEvent(LogLevel L, const std::string &Component,
   int64_t UnixMs = std::chrono::duration_cast<std::chrono::milliseconds>(
                        std::chrono::system_clock::now().time_since_epoch())
                        .count();
-  std::string Line;
-  Line.reserve(128);
-  Line += strFormat("{\"ts_ms\":%lld,\"level\":\"%s\",\"component\":\"%s\","
-                    "\"msg\":\"%s\"",
-                    static_cast<long long>(UnixMs), logLevelName(L),
-                    jsonEscape(Component).c_str(), jsonEscape(Msg).c_str());
+  JsonWriter W;
+  W.beginObject().key("ts_ms").integer(UnixMs);
+  W.key("level").string(logLevelName(L)).key("component").string(Component);
+  W.key("msg").string(Msg);
   const std::string &Rid = currentRequestId();
-  if (!Rid.empty()) {
-    Line += ",\"request_id\":\"";
-    Line += jsonEscape(Rid);
-    Line += '"';
-  }
+  if (!Rid.empty())
+    W.key("request_id").string(Rid);
   for (const LogField &F : Fields)
-    appendField(Line, F);
-  Line += "}\n";
+    W.key(F.Key).raw(F.Json);
+  std::string Line = W.endObject().take();
+  Line += '\n';
 
   LogSink &Sink = logSink();
   std::lock_guard<std::mutex> Lock(Sink.Mutex);

@@ -8,8 +8,8 @@
 /// A leveled structured logger for long-running processes (ltp-serve
 /// foremost): every emitted line is one self-contained JSON object
 ///
-///   {"ts_ms":1733829000123,"level":"info","component":"serve",
-///    "msg":"request","request_id":"r-1234-7",...}
+///   {"ts_ms": 1733829000123, "level": "info", "component": "serve",
+///    "msg": "request", "request_id": "r-1234-7", ...}
 ///
 /// so deployments can ship the stream straight into a log pipeline and
 /// join lines against spans and flight-recorder digests by request ID.
@@ -32,22 +32,16 @@
 #ifndef LTP_OBS_LOG_H
 #define LTP_OBS_LOG_H
 
+#include "obs/JsonWriter.h"
+
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ltp {
 namespace obs {
-
-//===----------------------------------------------------------------------===//
-// Shared JSON escaping
-//===----------------------------------------------------------------------===//
-
-/// Escapes \p S for embedding in a JSON string literal (quotes,
-/// backslashes, control characters). Shared by the logger, the trace
-/// writer and the serve protocol so every producer escapes identically.
-std::string jsonEscape(const std::string &S);
 
 //===----------------------------------------------------------------------===//
 // Levels
@@ -99,34 +93,29 @@ bool setLogFile(const std::string &Path, std::string *Error = nullptr);
 // Structured fields
 //===----------------------------------------------------------------------===//
 
-/// One key/value field of a log line. Values are strings, numbers,
-/// booleans, or pre-rendered raw JSON (for nested objects/arrays).
+/// One key/value field of a log line, its value rendered by the JSON
+/// writer when the field is built: a string, number or boolean, or
+/// pre-rendered raw JSON (for nested objects/arrays).
 struct LogField {
-  enum class Kind { String, Number, Integer, Bool, Raw };
-
+  LogField(std::string Key, std::string_view Value)
+      : Key(std::move(Key)), Json(JsonWriter().string(Value).take()) {}
   LogField(std::string Key, const char *Value)
-      : Key(std::move(Key)), K(Kind::String), Str(Value) {}
-  LogField(std::string Key, std::string Value)
-      : Key(std::move(Key)), K(Kind::String), Str(std::move(Value)) {}
+      : LogField(std::move(Key), std::string_view(Value)) {}
   LogField(std::string Key, double Value)
-      : Key(std::move(Key)), K(Kind::Number), Num(Value) {}
+      : Key(std::move(Key)), Json(JsonWriter().general(Value, 6).take()) {}
   LogField(std::string Key, int64_t Value)
-      : Key(std::move(Key)), K(Kind::Integer), Int(Value) {}
+      : Key(std::move(Key)), Json(JsonWriter().integer(Value).take()) {}
   LogField(std::string Key, int Value)
-      : Key(std::move(Key)), K(Kind::Integer), Int(Value) {}
+      : LogField(std::move(Key), static_cast<int64_t>(Value)) {}
   LogField(std::string Key, bool Value)
-      : Key(std::move(Key)), K(Kind::Bool), BoolValue(Value) {}
+      : Key(std::move(Key)), Json(JsonWriter().boolean(Value).take()) {}
 
   /// Raw-JSON factory: \p Json must already be valid JSON (an object,
   /// array or literal); it is spliced in verbatim.
   static LogField raw(std::string Key, std::string Json);
 
   std::string Key;
-  Kind K;
-  std::string Str;
-  double Num = 0.0;
-  int64_t Int = 0;
-  bool BoolValue = false;
+  std::string Json; ///< the rendered value
 };
 
 /// Emits one JSON log line at \p L. No-op (and no field evaluation at

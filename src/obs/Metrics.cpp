@@ -1,11 +1,11 @@
-//===- Metrics.cpp - histograms, gauges and Prometheus export -------------===//
+//===- Metrics.cpp - metrics registry, histograms, Prometheus export ------===//
 
 #include "obs/Metrics.h"
 
-#include "obs/Telemetry.h"
 #include "support/Format.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
@@ -142,65 +142,90 @@ double Histogram::Snapshot::quantile(double Q) const {
 }
 
 //===----------------------------------------------------------------------===//
-// Registries
+// Registry
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Never-destroyed registries (worker threads may record during process
-/// teardown), matching the Counter registry in Telemetry.cpp.
-template <typename T> struct NamedRegistry {
-  std::mutex Mutex;
-  std::map<std::string, std::unique_ptr<T>> Entries;
+/// The kind only decides which list of a snapshot (and so which
+/// Prometheus `# TYPE`) an entry lands in.
+enum class MetricKind { Counter, Gauge, Histogram };
 
-  T &get(const std::string &Name) {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    std::unique_ptr<T> &Slot = Entries[Name];
-    if (!Slot)
-      Slot.reset(new T());
-    return *Slot;
-  }
+struct Entry {
+  explicit Entry(MetricKind Kind)
+      : Kind(Kind), Hist(Kind == MetricKind::Histogram
+                             ? std::make_unique<Histogram>()
+                             : nullptr) {}
+  const MetricKind Kind;
+  Gauge Value;                     ///< counters and gauges
+  std::unique_ptr<Histogram> Hist; ///< histograms only
 };
 
-NamedRegistry<Histogram> &histogramRegistry() {
-  static NamedRegistry<Histogram> *Registry = new NamedRegistry<Histogram>();
-  return *Registry;
+/// Never destroyed: worker threads may record during process teardown.
+/// std::map nodes never move, so handed-out references stay valid.
+struct Registry {
+  std::mutex Mutex;
+  std::map<std::string, Entry> Entries;
+};
+
+Registry &registry() {
+  static Registry *R = new Registry();
+  return *R;
 }
 
-NamedRegistry<Gauge> &gaugeRegistry() {
-  static NamedRegistry<Gauge> *Registry = new NamedRegistry<Gauge>();
-  return *Registry;
+Entry &lookup(const std::string &Name, MetricKind Kind) {
+  Registry &R = registry();
+  std::lock_guard<std::mutex> Lock(R.Mutex);
+  Entry &E = R.Entries.try_emplace(Name, Kind).first->second;
+  assert(E.Kind == Kind && "metric name registered as two kinds");
+  return E;
 }
 
 } // namespace
 
-Histogram &ltp::obs::histogram(const std::string &Name) {
-  return histogramRegistry().get(Name);
-}
-
-std::vector<std::pair<std::string, Histogram::Snapshot>>
-ltp::obs::histogramSnapshot() {
-  NamedRegistry<Histogram> &Registry = histogramRegistry();
-  std::lock_guard<std::mutex> Lock(Registry.Mutex);
-  std::vector<std::pair<std::string, Histogram::Snapshot>> Out;
-  Out.reserve(Registry.Entries.size());
-  for (const auto &[Name, H] : Registry.Entries)
-    Out.emplace_back(Name, H->snapshot());
-  return Out; // std::map iteration is already name-sorted
+Counter &ltp::obs::counter(const std::string &Name) {
+  return lookup(Name, MetricKind::Counter).Value;
 }
 
 Gauge &ltp::obs::gauge(const std::string &Name) {
-  return gaugeRegistry().get(Name);
+  return lookup(Name, MetricKind::Gauge).Value;
 }
 
-std::vector<std::pair<std::string, int64_t>> ltp::obs::gaugeSnapshot() {
-  NamedRegistry<Gauge> &Registry = gaugeRegistry();
-  std::lock_guard<std::mutex> Lock(Registry.Mutex);
-  std::vector<std::pair<std::string, int64_t>> Out;
-  Out.reserve(Registry.Entries.size());
-  for (const auto &[Name, G] : Registry.Entries)
-    Out.emplace_back(Name, G->value());
+Histogram &ltp::obs::histogram(const std::string &Name) {
+  return *lookup(Name, MetricKind::Histogram).Hist;
+}
+
+MetricsSnapshot ltp::obs::snapshot() {
+  Registry &R = registry();
+  std::lock_guard<std::mutex> Lock(R.Mutex);
+  MetricsSnapshot Out;
+  for (const auto &[Name, E] : R.Entries) { // std::map: name-sorted
+    if (E.Hist)
+      Out.Histograms.emplace_back(Name, E.Hist->snapshot());
+    else
+      (E.Kind == MetricKind::Gauge ? Out.Gauges : Out.Counters)
+          .emplace_back(Name, E.Value.value());
+  }
   return Out;
+}
+
+int64_t MetricsSnapshot::counter(const std::string &Name) const {
+  for (const auto &[CounterName, Value] : Counters)
+    if (CounterName == Name)
+      return Value;
+  return 0;
+}
+
+std::vector<std::pair<std::string, int64_t>> ltp::obs::counterSnapshot() {
+  return snapshot().Counters;
+}
+
+void ltp::obs::resetCounters() {
+  Registry &R = registry();
+  std::lock_guard<std::mutex> Lock(R.Mutex);
+  for (auto &[Name, E] : R.Entries)
+    if (E.Kind == MetricKind::Counter)
+      E.Value.set(0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -222,35 +247,34 @@ std::string ltp::obs::renderPrometheusText() {
   std::string Out;
   Out.reserve(4096);
 
-  for (const auto &[Name, Value] : counterSnapshot()) {
-    std::string PName = prometheusName(Name);
-    Out += strFormat("# TYPE %s counter\n%s %lld\n", PName.c_str(),
-                     PName.c_str(), static_cast<long long>(Value));
-  }
+  MetricsSnapshot Snap = snapshot();
+  auto RenderScalars = [&](const auto &List, const char *Type) {
+    for (const auto &[Name, Value] : List) {
+      std::string PName = prometheusName(Name);
+      Out += strFormat("# TYPE %s %s\n%s %lld\n", PName.c_str(), Type,
+                       PName.c_str(), static_cast<long long>(Value));
+    }
+  };
+  RenderScalars(Snap.Counters, "counter");
+  RenderScalars(Snap.Gauges, "gauge");
 
-  for (const auto &[Name, Value] : gaugeSnapshot()) {
-    std::string PName = prometheusName(Name);
-    Out += strFormat("# TYPE %s gauge\n%s %lld\n", PName.c_str(),
-                     PName.c_str(), static_cast<long long>(Value));
-  }
-
-  for (const auto &[Name, Snap] : histogramSnapshot()) {
+  for (const auto &[Name, HistSnap] : Snap.Histograms) {
     std::string PName = prometheusName(Name);
     Out += strFormat("# TYPE %s histogram\n", PName.c_str());
     uint64_t Cumulative = 0;
-    for (size_t I = 0; I != Snap.Counts.size(); ++I) {
-      if (Snap.Counts[I] == 0)
+    for (size_t I = 0; I != HistSnap.Counts.size(); ++I) {
+      if (HistSnap.Counts[I] == 0)
         continue; // elide empty buckets; samples stay cumulative
-      Cumulative += Snap.Counts[I];
+      Cumulative += HistSnap.Counts[I];
       Out += strFormat("%s_bucket{le=\"%.9g\"} %llu\n", PName.c_str(),
                        Histogram::bucketUpperMillis(I),
                        static_cast<unsigned long long>(Cumulative));
     }
     Out += strFormat("%s_bucket{le=\"+Inf\"} %llu\n", PName.c_str(),
-                     static_cast<unsigned long long>(Snap.Count));
+                     static_cast<unsigned long long>(HistSnap.Count));
     Out += strFormat("%s_sum %.9g\n%s_count %llu\n", PName.c_str(),
-                     Snap.SumMillis, PName.c_str(),
-                     static_cast<unsigned long long>(Snap.Count));
+                     HistSnap.SumMillis, PName.c_str(),
+                     static_cast<unsigned long long>(HistSnap.Count));
   }
   return Out;
 }

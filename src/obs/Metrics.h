@@ -6,11 +6,13 @@
 ///
 /// \file
 /// The production-metrics half of the telemetry layer: always-on,
-/// lock-free latency *histograms* and point-in-time *gauges*, exported
-/// (together with the monotonic counters of Telemetry.h) as Prometheus
-/// text-exposition format via `renderPrometheusText` — scraped over the
-/// wire by the `metrics` serve op and optionally written to a snapshot
-/// file on an interval by `MetricsSnapshotter`.
+/// lock-free latency *histograms* and point-in-time *gauges*. They live
+/// with the monotonic counters of Telemetry.h in one process-wide
+/// registry, read as one `snapshot()` by every surface: the `stats`
+/// serve op, the Prometheus text exposition (`renderPrometheusText`,
+/// scraped by the `metrics` op and written on an interval by
+/// `MetricsSnapshotter`), trace counter events and the bench and
+/// ltp-opt telemetry footers.
 ///
 /// Histograms use log-linear bucketing over nanoseconds: each power-of-2
 /// octave is split into 8 linear sub-buckets, bounding the relative
@@ -30,6 +32,8 @@
 
 #ifndef LTP_OBS_METRICS_H
 #define LTP_OBS_METRICS_H
+
+#include "obs/Telemetry.h"
 
 #include <atomic>
 #include <cstddef>
@@ -126,37 +130,37 @@ private:
 /// a function-local static when observing from a hot path.
 Histogram &histogram(const std::string &Name);
 
-/// Snapshots of every registered histogram, sorted by name.
-std::vector<std::pair<std::string, Histogram::Snapshot>> histogramSnapshot();
-
 //===----------------------------------------------------------------------===//
 // Gauge
 //===----------------------------------------------------------------------===//
 
-/// A point-in-time value (queue depth, live connections, table size).
-/// Unlike Counter, a gauge is expected to go down.
-class Gauge {
+/// A point-in-time value (queue depth, live connections, table size):
+/// a Counter that may also be overwritten and is expected to go down.
+class Gauge : public Counter {
 public:
-  Gauge() = default;
-  Gauge(const Gauge &) = delete;
-  Gauge &operator=(const Gauge &) = delete;
-
   void set(int64_t V) { Value.store(V, std::memory_order_relaxed); }
-  void add(int64_t Delta) {
-    Value.fetch_add(Delta, std::memory_order_relaxed);
-  }
-  int64_t value() const { return Value.load(std::memory_order_relaxed); }
-
-private:
-  std::atomic<int64_t> Value{0};
 };
 
 /// Finds or creates the gauge named \p Name (same lifetime contract as
 /// histogram()).
 Gauge &gauge(const std::string &Name);
 
-/// All registered gauges with their current values, sorted by name.
-std::vector<std::pair<std::string, int64_t>> gaugeSnapshot();
+//===----------------------------------------------------------------------===//
+// Registry snapshot
+//===----------------------------------------------------------------------===//
+
+/// One read of the whole registry, each list sorted by name.
+struct MetricsSnapshot {
+  std::vector<std::pair<std::string, int64_t>> Counters;
+  std::vector<std::pair<std::string, int64_t>> Gauges;
+  std::vector<std::pair<std::string, Histogram::Snapshot>> Histograms;
+
+  /// The value of counter \p Name; 0 when it was never registered.
+  int64_t counter(const std::string &Name) const;
+};
+
+/// Reads every counter, gauge and histogram under the registry lock.
+MetricsSnapshot snapshot();
 
 //===----------------------------------------------------------------------===//
 // Prometheus export
@@ -166,10 +170,10 @@ std::vector<std::pair<std::string, int64_t>> gaugeSnapshot();
 /// non-alphanumerics to '_' ("serve.request_ms" → "ltp_serve_request_ms").
 std::string prometheusName(const std::string &Name);
 
-/// Renders every counter, gauge and histogram in Prometheus text
-/// exposition format (`# TYPE` line per family; cumulative `_bucket`
-/// samples with an explicit `+Inf`, then `_sum` and `_count`, per
-/// histogram). Empty histogram buckets are elided.
+/// Renders one snapshot() in Prometheus text exposition format: a
+/// `# TYPE` line per family, counters first, then gauges, then
+/// histograms (cumulative `_bucket` samples with an explicit `+Inf`,
+/// then `_sum` and `_count`). Empty histogram buckets are elided.
 std::string renderPrometheusText();
 
 /// Writes renderPrometheusText() to \p Path (atomically, via a .tmp

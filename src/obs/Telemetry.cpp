@@ -1,15 +1,16 @@
-//===- Telemetry.cpp - spans, counters and trace export -------------------===//
+//===- Telemetry.cpp - spans and trace export -----------------------------===//
 
 #include "obs/Telemetry.h"
 
+#include "obs/JsonWriter.h"
 #include "obs/Log.h"
+#include "obs/Metrics.h"
 #include "support/Format.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <memory>
 #include <mutex>
 
@@ -140,51 +141,6 @@ void ltp::obs::clearTrace() {
 }
 
 //===----------------------------------------------------------------------===//
-// Counter registry
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-struct CounterRegistry {
-  std::mutex Mutex;
-  /// unique_ptr entries keep Counter addresses stable across rehashing.
-  std::map<std::string, std::unique_ptr<Counter>> Counters;
-};
-
-CounterRegistry &counterRegistry() {
-  static CounterRegistry *Registry = new CounterRegistry();
-  return *Registry;
-}
-
-} // namespace
-
-Counter &ltp::obs::counter(const std::string &Name) {
-  CounterRegistry &Registry = counterRegistry();
-  std::lock_guard<std::mutex> Lock(Registry.Mutex);
-  std::unique_ptr<Counter> &Slot = Registry.Counters[Name];
-  if (!Slot)
-    Slot.reset(new Counter());
-  return *Slot;
-}
-
-std::vector<std::pair<std::string, int64_t>> ltp::obs::counterSnapshot() {
-  CounterRegistry &Registry = counterRegistry();
-  std::lock_guard<std::mutex> Lock(Registry.Mutex);
-  std::vector<std::pair<std::string, int64_t>> Out;
-  Out.reserve(Registry.Counters.size());
-  for (const auto &[Name, C] : Registry.Counters)
-    Out.emplace_back(Name, C->value());
-  return Out; // std::map iteration is already name-sorted
-}
-
-void ltp::obs::resetCounters() {
-  CounterRegistry &Registry = counterRegistry();
-  std::lock_guard<std::mutex> Lock(Registry.Mutex);
-  for (auto &[Name, C] : Registry.Counters)
-    C->set(0);
-}
-
-//===----------------------------------------------------------------------===//
 // Trace export
 //===----------------------------------------------------------------------===//
 
@@ -205,67 +161,56 @@ bool ltp::obs::writeTrace(const std::string &Path, std::string *Error) {
     }
   }
 
-  std::FILE *Out = std::fopen(Path.c_str(), "w");
-  if (!Out) {
-    if (Error)
-      *Error = "cannot open trace file for writing: " + Path;
-    return false;
-  }
-
-  std::fputs("{\"traceEvents\":[\n", Out);
-  bool First = true;
-  auto Comma = [&] {
-    if (!First)
-      std::fputs(",\n", Out);
-    First = false;
-  };
+  JsonWriter W;
+  W.beginObject().key("traceEvents").beginArray();
 
   // Thread-name metadata so Perfetto labels the tracks.
   for (const Snapshot &S : Snapshots) {
-    Comma();
-    std::fprintf(Out,
-                 "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
-                 "\"tid\":%u,\"args\":{\"name\":\"%s\"}}",
-                 S.Tid,
-                 S.Tid == 1 ? "main" : strFormat("worker-%u", S.Tid).c_str());
+    W.beginObject().key("name").string("thread_name").key("ph").string("M");
+    W.key("pid").integer(1).key("tid").integer(S.Tid);
+    W.key("args").beginObject().key("name");
+    W.string(S.Tid == 1 ? "main" : strFormat("worker-%u", S.Tid));
+    W.endObject().endObject();
   }
 
   int64_t MaxEndNs = 0;
   for (const Snapshot &S : Snapshots) {
     for (const SpanEvent &E : S.Events) {
       MaxEndNs = std::max(MaxEndNs, E.StartNs + E.DurNs);
-      Comma();
-      std::fprintf(Out,
-                   "{\"name\":\"%s\",\"cat\":\"ltp\",\"ph\":\"X\","
-                   "\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%u",
-                   jsonEscape(E.Name).c_str(),
-                   static_cast<double>(E.StartNs) / 1e3,
-                   static_cast<double>(E.DurNs) / 1e3, S.Tid);
+      W.beginObject().key("name").string(E.Name).key("cat").string("ltp");
+      W.key("ph").string("X");
+      W.key("ts").fixed(static_cast<double>(E.StartNs) / 1e3, 3);
+      W.key("dur").fixed(static_cast<double>(E.DurNs) / 1e3, 3);
+      W.key("pid").integer(1).key("tid").integer(S.Tid);
       if (!E.Args.empty() || !E.Rid.empty()) {
-        std::fputs(",\"args\":{", Out);
+        W.key("args").beginObject();
         if (!E.Args.empty())
-          std::fprintf(Out, "\"detail\":\"%s\"", jsonEscape(E.Args).c_str());
+          W.key("detail").string(E.Args);
         if (!E.Rid.empty())
-          std::fprintf(Out, "%s\"rid\":\"%s\"", E.Args.empty() ? "" : ",",
-                       jsonEscape(E.Rid).c_str());
-        std::fputs("}", Out);
+          W.key("rid").string(E.Rid);
+        W.endObject();
       }
-      std::fputs("}", Out);
+      W.endObject();
     }
   }
 
   // One terminal sample per counter, as Chrome counter events.
-  for (const auto &[Name, Value] : counterSnapshot()) {
-    Comma();
-    std::fprintf(Out,
-                 "{\"name\":\"%s\",\"cat\":\"ltp\",\"ph\":\"C\","
-                 "\"ts\":%.3f,\"pid\":1,\"args\":{\"value\":%lld}}",
-                 jsonEscape(Name).c_str(),
-                 static_cast<double>(MaxEndNs) / 1e3,
-                 static_cast<long long>(Value));
+  for (const auto &[Name, Value] : snapshot().Counters) {
+    W.beginObject().key("name").string(Name).key("cat").string("ltp");
+    W.key("ph").string("C");
+    W.key("ts").fixed(static_cast<double>(MaxEndNs) / 1e3, 3);
+    W.key("pid").integer(1).key("args").beginObject();
+    W.key("value").integer(Value).endObject().endObject();
   }
+  W.endArray().key("displayTimeUnit").string("ms").endObject();
 
-  std::fputs("\n],\"displayTimeUnit\":\"ms\"}\n", Out);
+  std::FILE *Out = std::fopen(Path.c_str(), "w");
+  if (!Out) {
+    if (Error)
+      *Error = "cannot open trace file for writing: " + Path;
+    return false;
+  }
+  std::fprintf(Out, "%s\n", W.str().c_str());
   bool Ok = std::fclose(Out) == 0;
   if (!Ok && Error)
     *Error = "error writing trace file: " + Path;

@@ -10,9 +10,9 @@
 ///  * RAII *scoped spans* recording wall-clock intervals into per-thread
 ///    buffers, exported as a Chrome-trace-event JSON file that Perfetto
 ///    and chrome://tracing load directly (`writeTrace`);
-///  * a process-wide *counter registry* of named monotonic counters
-///    (always on — one relaxed fetch_add per bump) that every bench
-///    prints as a single consistent telemetry footer.
+///  * named monotonic *counters* (always on — one relaxed fetch_add per
+///    bump), kept with the gauges and histograms in the one metrics
+///    registry of Metrics.h.
 ///
 /// Tracing is off by default. It is enabled programmatically
 /// (`setTracingEnabled`) — the `--trace-json=FILE` flag of ltp-opt and of
@@ -60,21 +60,19 @@ inline bool tracingEnabled() {
 void setTracingEnabled(bool Enabled);
 
 //===----------------------------------------------------------------------===//
-// Counter registry
+// Counters
 //===----------------------------------------------------------------------===//
 
 /// One named monotonic counter. Handles returned by counter() are stable
 /// for the process lifetime; cache them in a function-local static when
-/// bumping from a hot path.
+/// bumping from a hot path. Counters, gauges and histograms share one
+/// registry (Metrics.h), read together through obs::snapshot().
 class Counter {
 public:
   void add(int64_t N = 1) { Value.fetch_add(N, std::memory_order_relaxed); }
-  /// Gauge-style overwrite (e.g. "last run's access count").
-  void set(int64_t N) { Value.store(N, std::memory_order_relaxed); }
   int64_t value() const { return Value.load(std::memory_order_relaxed); }
 
-private:
-  friend Counter &counter(const std::string &Name);
+protected:
   Counter() = default;
   std::atomic<int64_t> Value{0};
 };
@@ -84,8 +82,8 @@ private:
 /// removes entries).
 Counter &counter(const std::string &Name);
 
-/// All counters with non-default values need not be filtered here: the
-/// snapshot returns every registered counter, sorted by name.
+/// Every registered counter with its value, sorted by name (the
+/// `Counters` list of obs::snapshot()).
 std::vector<std::pair<std::string, int64_t>> counterSnapshot();
 
 /// Zeroes every registered counter (tests).
@@ -152,7 +150,7 @@ private:
 
 /// Writes every recorded span (all threads) plus one terminal sample per
 /// registered counter as Chrome trace events:
-/// `{"traceEvents":[{"name":...,"ph":"X","ts":...,"dur":...,...}]}`.
+/// `{"traceEvents": [{"name": ..., "ph": "X", "ts": ..., "dur": ...}]}`.
 /// Timestamps are microseconds from the trace epoch. Returns false and
 /// fills \p Error on I/O failure.
 bool writeTrace(const std::string &Path, std::string *Error = nullptr);

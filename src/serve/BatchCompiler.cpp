@@ -11,10 +11,6 @@ using namespace ltp::serve;
 
 namespace {
 
-obs::Counter &queueDepthGauge() {
-  static obs::Counter &C = obs::counter("serve.queue_depth");
-  return C;
-}
 obs::Counter &flushesCounter() {
   static obs::Counter &C = obs::counter("serve.batch.flushes");
   return C;
@@ -24,11 +20,7 @@ obs::Counter &jobsCounter() {
   return C;
 }
 
-/// Mirrors the queue depth into the metrics registry so the Prometheus
-/// exposition types it as the gauge it is (the Counter above stays for
-/// the stats-op surface).
 void setQueueDepth(int64_t Depth) {
-  queueDepthGauge().set(Depth);
   if (obs::metricsEnabled()) {
     static obs::Gauge &G = obs::gauge("serve.batch_queue_depth");
     G.set(Depth);

@@ -8,6 +8,7 @@
 #include "lang/Bounds.h"
 #include "lang/ScheduleText.h"
 #include "obs/FlightRecorder.h"
+#include "obs/JsonWriter.h"
 #include "obs/Log.h"
 #include "obs/Metrics.h"
 #include "obs/Telemetry.h"
@@ -235,12 +236,11 @@ void OptimizerService::finishRequest(const Request &Req, Response &R,
     // The request's span tree, flattened: per-stage wall times plus the
     // optimizer/compile splits — enough to see where the time went
     // without tracing having been on.
-    std::string Stages = "{";
-    for (size_t I = 0; I != R.StageMillis.size(); ++I)
-      Stages += strFormat("%s\"%s\": %.4f", I ? ", " : "",
-                          obs::jsonEscape(R.StageMillis[I].first).c_str(),
-                          R.StageMillis[I].second);
-    Stages += "}";
+    obs::JsonWriter Stages;
+    Stages.beginObject();
+    for (const auto &[Stage, Millis] : R.StageMillis)
+      Stages.key(Stage).fixed(Millis, 4);
+    Stages.endObject();
     obs::logEvent(obs::LogLevel::Warn, "serve", "slow request",
                   {{"op", Req.Op},
                    {"kernel", Req.Kernel},
@@ -249,7 +249,7 @@ void OptimizerService::finishRequest(const Request &Req, Response &R,
                    {"opt_ms", R.OptMillis},
                    {"compile_ms", R.CompileMillis},
                    {"threshold_ms", SlowMillis},
-                   obs::LogField::raw("stages", Stages)});
+                   obs::LogField::raw("stages", Stages.take())});
   }
 }
 

@@ -4,7 +4,7 @@
 
 #include "arch/ArchFile.h"
 #include "obs/JsonCheck.h"
-#include "obs/Log.h"
+#include "obs/JsonWriter.h"
 #include "support/Format.h"
 
 #include <atomic>
@@ -15,8 +15,6 @@ using namespace ltp;
 using namespace ltp::serve;
 
 namespace {
-
-using obs::jsonEscape;
 
 /// Reads an integral JSON number; rejects fractions (a fractional size
 /// is a client bug, not something to round silently).
@@ -151,46 +149,42 @@ const char *ltp::serve::errorKindName(ErrorKind K) {
 }
 
 std::string ltp::serve::renderResponse(const Response &R) {
-  std::string Out = "{";
-  Out += strFormat("\"ok\": %s", R.Ok ? "true" : "false");
+  obs::JsonWriter W;
+  W.beginObject().key("ok").boolean(R.Ok);
   if (!R.Id.empty())
-    Out += ", \"id\": \"" + jsonEscape(R.Id) + "\"";
+    W.key("id").string(R.Id);
   if (!R.RequestId.empty())
-    Out += ", \"request_id\": \"" + jsonEscape(R.RequestId) + "\"";
-  if (!R.Ok) {
-    Out += ", \"kind\": \"" + std::string(errorKindName(R.Kind)) + "\"";
-    Out += ", \"error\": \"" + jsonEscape(R.Error) + "\"";
-  }
+    W.key("request_id").string(R.RequestId);
+  if (!R.Ok)
+    W.key("kind").string(errorKindName(R.Kind)).key("error").string(R.Error);
   if (!R.Kernel.empty())
-    Out += ", \"kernel\": \"" + jsonEscape(R.Kernel) + "\"";
+    W.key("kernel").string(R.Kernel);
   if (!R.Class.empty())
-    Out += ", \"class\": \"" + jsonEscape(R.Class) + "\"";
+    W.key("class").string(R.Class);
   if (!R.Schedule.empty())
-    Out += ", \"schedule\": \"" + jsonEscape(R.Schedule) + "\"";
+    W.key("schedule").string(R.Schedule);
   if (!R.Description.empty())
-    Out += ", \"description\": \"" + jsonEscape(R.Description) + "\"";
+    W.key("description").string(R.Description);
   if (!R.SoPaths.empty()) {
-    Out += ", \"so\": [";
-    for (size_t I = 0; I != R.SoPaths.size(); ++I)
-      Out += (I ? ", \"" : "\"") + jsonEscape(R.SoPaths[I]) + "\"";
-    Out += "]";
+    W.key("so").beginArray();
+    for (const std::string &Path : R.SoPaths)
+      W.string(Path);
+    W.endArray();
   }
   if (R.LintRan) {
     // Members are pre-rendered JSON objects; an empty array means the
     // linted schedules are clean.
-    Out += ", \"diagnostics\": [";
-    for (size_t I = 0; I != R.DiagnosticsJson.size(); ++I)
-      Out += (I ? ", " : "") + R.DiagnosticsJson[I];
-    Out += "]";
+    W.key("diagnostics").beginArray();
+    for (const std::string &Diagnostic : R.DiagnosticsJson)
+      W.raw(Diagnostic);
+    W.endArray();
   }
   if (R.Ok || R.Kind == ErrorKind::IllegalSchedule ||
       R.Kind == ErrorKind::Internal) {
-    Out += ", \"dedup\": \"" +
-           std::string(dedupOutcomeName(R.Dedup)) + "\"";
-    Out += ", \"key\": \"" + R.KeyHash + "\"";
-    Out += strFormat(", \"opt_ms\": %.4f, \"compile_ms\": %.4f",
-                     R.OptMillis, R.CompileMillis);
+    W.key("dedup").string(dedupOutcomeName(R.Dedup)).key("key").string(
+        R.KeyHash);
+    W.key("opt_ms").fixed(R.OptMillis, 4);
+    W.key("compile_ms").fixed(R.CompileMillis, 4);
   }
-  Out += "}";
-  return Out;
+  return W.endObject().take();
 }

@@ -3,10 +3,10 @@
 #include "serve/Server.h"
 
 #include "obs/FlightRecorder.h"
+#include "obs/JsonWriter.h"
 #include "obs/Log.h"
 #include "obs/Metrics.h"
 #include "obs/Telemetry.h"
-#include "support/Format.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -43,55 +43,28 @@ bool writeLine(int Fd, const std::string &Data) {
 }
 
 std::string statsJson() {
-  std::string Out = "{\"ok\": true, \"counters\": {";
-  bool First = true;
-  for (const auto &[Name, Value] : obs::counterSnapshot()) {
-    if (!First)
-      Out += ", ";
-    First = false;
-    Out += strFormat("\"%s\": %lld", Name.c_str(),
-                     static_cast<long long>(Value));
-  }
-  Out += "}, \"gauges\": {";
-  First = true;
-  for (const auto &[Name, Value] : obs::gaugeSnapshot()) {
-    if (!First)
-      Out += ", ";
-    First = false;
-    Out += strFormat("\"%s\": %lld", Name.c_str(),
-                     static_cast<long long>(Value));
-  }
-  Out += "}}";
-  return Out;
+  obs::MetricsSnapshot Snap = obs::snapshot();
+  obs::JsonWriter W;
+  W.beginObject().key("ok").boolean(true).key("counters").beginObject();
+  for (const auto &[Name, Value] : Snap.Counters)
+    W.key(Name).integer(Value);
+  W.endObject().key("gauges").beginObject();
+  for (const auto &[Name, Value] : Snap.Gauges)
+    W.key(Name).integer(Value);
+  return W.endObject().endObject().take();
 }
 
-/// Common prefix of the inline-op responses: ok + echoed id + the
-/// request ID minted for this line.
-std::string responseHead(const Request &Req) {
-  std::string Out = "{\"ok\": true";
+/// Opens an inline-op reply with its common members: ok, the echoed id
+/// and the request ID minted for this line. The caller adds its own
+/// members and closes the object.
+obs::JsonWriter responseHead(const Request &Req) {
+  obs::JsonWriter W;
+  W.beginObject().key("ok").boolean(true);
   if (!Req.Id.empty())
-    Out += ", \"id\": \"" + obs::jsonEscape(Req.Id) + "\"";
+    W.key("id").string(Req.Id);
   if (!Req.RequestId.empty())
-    Out += ", \"request_id\": \"" + obs::jsonEscape(Req.RequestId) + "\"";
-  return Out;
-}
-
-std::string metricsJson(const Request &Req) {
-  // The exposition text rides inside the NDJSON envelope as one escaped
-  // string field, keeping the wire protocol uniformly line-JSON; the
-  // client's --metrics flag unescapes it back to scrapeable text.
-  return responseHead(Req) + ", \"metrics\": \"" +
-         obs::jsonEscape(obs::renderPrometheusText()) + "\"}";
-}
-
-std::string dumpJson(const Request &Req) {
-  obs::FlightRecorder &Recorder = obs::flightRecorder();
-  return responseHead(Req) +
-         strFormat(", \"flight_recorder\": %s, \"capacity\": %zu, "
-                   "\"recorded\": %llu}",
-                   Recorder.requestsJsonArray().c_str(), Recorder.capacity(),
-                   static_cast<unsigned long long>(
-                       Recorder.totalRecorded()));
+    W.key("request_id").string(Req.RequestId);
+  return W;
 }
 
 } // namespace
@@ -205,17 +178,26 @@ void Server::handleConnection(int Fd) {
       obs::RequestIdScope RidScope(Req->RequestId);
 
       if (Req->Op == "ping") {
-        std::string Pong = responseHead(*Req);
-        Pong += ", \"pong\": true}";
-        Open = writeLine(Fd, Pong);
+        Open = writeLine(
+            Fd, responseHead(*Req).key("pong").boolean(true).endObject().str());
       } else if (Req->Op == "stats") {
         Open = writeLine(Fd, statsJson());
       } else if (Req->Op == "metrics") {
-        Open = writeLine(Fd, metricsJson(*Req));
+        // The exposition text rides inside the NDJSON envelope as one
+        // escaped string field, keeping the wire protocol uniformly
+        // line-JSON; the client's --metrics flag unescapes it back to
+        // scrapeable text.
+        obs::JsonWriter W = responseHead(*Req);
+        W.key("metrics").string(obs::renderPrometheusText()).endObject();
+        Open = writeLine(Fd, W.str());
       } else if (Req->Op == "dump") {
-        Open = writeLine(Fd, dumpJson(*Req));
+        obs::JsonWriter W = responseHead(*Req);
+        obs::flightRecorder().writeDump(W);
+        Open = writeLine(Fd, W.endObject().str());
       } else if (Req->Op == "shutdown") {
-        writeLine(Fd, "{\"ok\": true, \"stopping\": true}");
+        obs::JsonWriter W;
+        W.beginObject().key("ok").boolean(true).key("stopping").boolean(true);
+        writeLine(Fd, W.endObject().str());
         requestStop();
         Open = false;
       } else {

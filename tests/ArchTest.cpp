@@ -61,12 +61,19 @@ TEST(ArchParamsTest, DescribeMentionsKeyFacts) {
 }
 
 TEST(ArchFileTest, RoundTripAllPresets) {
+  // Plus one platform that whole KiB and six significant digits cannot
+  // describe: the serve dedup key renders platforms through this text.
+  ArchParams Odd = intelI7_6700();
+  Odd.L1.SizeBytes = 33791;
+  Odd.A2 = 1.234567891;
   for (const ArchParams &Arch :
-       {intelI7_6700(), intelI7_5930K(), armCortexA15()}) {
+       {intelI7_6700(), intelI7_5930K(), armCortexA15(), Odd}) {
     auto Parsed = parseArchParams(archParamsToText(Arch));
     ASSERT_TRUE(static_cast<bool>(Parsed)) << Parsed.getError();
     EXPECT_EQ(Parsed->Name, Arch.Name);
     EXPECT_EQ(Parsed->L1.SizeBytes, Arch.L1.SizeBytes);
+    EXPECT_EQ(Parsed->L2.SizeBytes, Arch.L2.SizeBytes);
+    EXPECT_EQ(Parsed->A2, Arch.A2);
     EXPECT_EQ(Parsed->L2.Ways, Arch.L2.Ways);
     EXPECT_EQ(Parsed->L3.SizeBytes, Arch.L3.SizeBytes);
     EXPECT_EQ(Parsed->NCores, Arch.NCores);

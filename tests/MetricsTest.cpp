@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <sys/socket.h>
@@ -145,7 +146,7 @@ TEST(Gauge, SetAddAndRegistryIdentity) {
   // The registry hands back the same instance for the same name.
   EXPECT_EQ(&G, &gauge("test.metrics_gauge"));
   bool Found = false;
-  for (const auto &[Name, Value] : gaugeSnapshot())
+  for (const auto &[Name, Value] : snapshot().Gauges)
     if (Name == "test.metrics_gauge") {
       Found = true;
       EXPECT_EQ(Value, 4);
@@ -493,6 +494,66 @@ TEST(RequestIdEndToEnd, ResponseFlightDigestAndMetricsAgree) {
               std::string::npos);
   }
   Waiter.join();
+}
+
+TEST(StatsAndExposition, CountersAgreeNameByName) {
+  counter("test.agree.first").add(5);
+  counter("test.agree.second").add(1);
+  gauge("test.agree.gauge").set(9); // a gauge is not a counter sample
+  std::string Path = "/tmp/ltp-metrics-agree-" +
+                     std::to_string(static_cast<long>(::getpid())) + ".sock";
+  serve::Server Srv(Path);
+  std::string Error;
+  ASSERT_TRUE(Srv.start(&Error)) << Error;
+  std::thread Waiter([&] { Srv.wait(); });
+  std::string Stats, Metrics;
+  {
+    ClientConn Conn(Path);
+    // Neither op bumps a counter, so both replies render one registry
+    // state.
+    if (Conn.ok()) {
+      Stats = Conn.roundTrip("{\"op\": \"stats\"}");
+      Metrics = Conn.roundTrip("{\"op\": \"metrics\"}");
+    }
+  }
+  Srv.requestStop();
+  Waiter.join();
+
+  std::unique_ptr<JsonValue> StatsDoc = parseJson(Stats, &Error);
+  ASSERT_TRUE(StatsDoc) << Error;
+  const JsonValue *Counters = StatsDoc->find("counters");
+  ASSERT_TRUE(Counters && Counters->isObject()) << Stats;
+  std::unique_ptr<JsonValue> MetricsDoc = parseJson(Metrics, &Error);
+  ASSERT_TRUE(MetricsDoc && MetricsDoc->find("metrics")) << Error;
+
+  // A counter family is a `# TYPE <name> counter` line followed by its
+  // one `<name> <value>` sample.
+  std::map<std::string, double> Samples;
+  std::istringstream Text(MetricsDoc->find("metrics")->StringValue);
+  std::string Line, Family;
+  while (std::getline(Text, Line)) {
+    std::istringstream Fields(Line);
+    std::string Hash, Type, Name, Kind;
+    Fields >> Hash >> Type >> Name >> Kind;
+    if (Hash == "#" && Kind == "counter") {
+      Family = Name;
+    } else if (!Family.empty() && Hash == Family) {
+      Samples[Family] = std::stod(Type);
+      Family.clear();
+    }
+  }
+
+  EXPECT_EQ(Samples.size(), Counters->Members.size());
+  for (const auto &[Name, Value] : Counters->Members) {
+    auto It = Samples.find(prometheusName(Name));
+    if (It == Samples.end())
+      ADD_FAILURE() << Name << " has no Prometheus counter sample";
+    else
+      EXPECT_EQ(It->second, Value.NumberValue) << Name;
+  }
+  ASSERT_TRUE(Counters->find("test.agree.first"));
+  EXPECT_EQ(Counters->find("test.agree.first")->NumberValue, 5.0);
+  EXPECT_EQ(Samples.count("ltp_test_agree_gauge"), 0u);
 }
 
 } // namespace

@@ -73,8 +73,8 @@ TEST_F(ObsTest, CounterHandlesAreStable) {
 }
 
 TEST_F(ObsTest, CounterSnapshotIsSortedAndComplete) {
-  obs::counter("test.zz").set(7);
-  obs::counter("test.aa").set(3);
+  obs::counter("test.zz").add(7);
+  obs::counter("test.aa").add(3);
   auto Snapshot = obs::counterSnapshot();
   ASSERT_GE(Snapshot.size(), 2u);
   for (size_t I = 1; I != Snapshot.size(); ++I)

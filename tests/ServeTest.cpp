@@ -319,6 +319,36 @@ TEST(ServeService, LintOpReturnsDiagnostics) {
   EXPECT_TRUE(Again.LintRan);
 }
 
+TEST(ServeService, ArchTextSizesSplitTheDedupKeyByTheByte) {
+  // 32768 and 33791 bytes are both "32K" in whole KiB, yet the optimizer
+  // tiles them differently: a daemon that served the first must not
+  // answer the second from its dedup table.
+  OptimizerService Service;
+  Request First = optimizeRequest("matmul", 256);
+  First.ArchName.clear();
+  First.ArchText = "l1.size = 32768\n";
+  Response A = Service.handle(First);
+  ASSERT_TRUE(A.Ok) << A.Error;
+
+  Request Second = First;
+  Second.ArchText = "l1.size = 33791\n";
+  Response B = Service.handle(Second);
+  ASSERT_TRUE(B.Ok) << B.Error;
+  EXPECT_EQ(B.Dedup, DedupOutcome::Miss);
+  EXPECT_NE(B.KeyHash, A.KeyHash);
+
+  // The schedule ltp-opt --arch-file picks for the 33791-byte platform.
+  auto Arch = parseArchParams(Second.ArchText);
+  ASSERT_TRUE(static_cast<bool>(Arch)) << Arch.getError();
+  BenchmarkInstance Instance = findBenchmark("matmul")->Create(256);
+  Func &F = Instance.Stages.back();
+  optimize(F, Instance.StageExtents.back(), *Arch);
+  std::string Expected =
+      printSchedule(F, F.numUpdates() > 0 ? F.numUpdates() - 1 : -1);
+  EXPECT_EQ(B.Schedule, Expected);
+  EXPECT_NE(B.Schedule, A.Schedule);
+}
+
 TEST(ServeService, CompileReturnsSharedStorePaths) {
   if (!jitAvailable())
     GTEST_SKIP() << "no host C compiler available";

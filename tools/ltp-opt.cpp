@@ -37,6 +37,8 @@
 #include "core/Optimizer.h"
 #include "ir/IRPrinter.h"
 #include "lang/ScheduleText.h"
+#include "obs/JsonWriter.h"
+#include "obs/Metrics.h"
 #include "obs/Provenance.h"
 #include "obs/Telemetry.h"
 #include "support/ArgParse.h"
@@ -161,7 +163,9 @@ int runLint(BenchmarkInstance &Instance, const BenchmarkDef *Def,
   const lint::LintOptions Options;
   const bool Json = Args.has("json");
   bool AnyErrors = false;
-  std::string Schedules, Diags;
+  obs::JsonWriter Schedules, Diags;
+  Schedules.beginArray();
+  Diags.beginArray();
   for (size_t S = 0; S != Instance.Stages.size(); ++S) {
     Func &F = Instance.Stages[S];
     int Stage = F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
@@ -191,14 +195,9 @@ int runLint(BenchmarkInstance &Instance, const BenchmarkDef *Def,
                     Report.ScheduleText.c_str());
     }
     if (Json) {
-      if (S)
-        Schedules += ", ";
-      Schedules += "\"" + Report.ScheduleText + "\"";
-      for (const lint::Diagnostic &D : Report.Diagnostics) {
-        if (!Diags.empty())
-          Diags += ", ";
-        Diags += lint::diagnosticJson(D, static_cast<int>(S));
-      }
+      Schedules.string(Report.ScheduleText);
+      for (const lint::Diagnostic &D : Report.Diagnostics)
+        Diags.raw(lint::diagnosticJson(D, static_cast<int>(S)));
     } else {
       std::printf("lint stage %zu (%s): %s\n", S, F.name().c_str(),
                   Report.clean()
@@ -211,11 +210,14 @@ int runLint(BenchmarkInstance &Instance, const BenchmarkDef *Def,
     }
     AnyErrors |= Report.hasErrors();
   }
-  if (Json)
-    std::printf("{\"kernel\": \"%s\", \"arch\": \"%s\", \"schedules\": "
-                "[%s], \"diagnostics\": [%s]}\n",
-                Def->Name.c_str(), Arch.Name.c_str(), Schedules.c_str(),
-                Diags.c_str());
+  if (Json) {
+    obs::JsonWriter W;
+    W.beginObject().key("kernel").string(Def->Name);
+    W.key("arch").string(Arch.Name);
+    W.key("schedules").raw(Schedules.endArray().str());
+    W.key("diagnostics").raw(Diags.endArray().str()).endObject();
+    std::printf("%s\n", W.str().c_str());
+  }
   return AnyErrors ? 2 : 0;
 }
 
@@ -426,31 +428,16 @@ int main(int Argc, char **Argv) {
   // Scoring-path telemetry: how many candidates each path handled and how
   // often the closed-form tile bound applied.
   if (Rc == 0 && !Args.has("schedule")) {
-    int64_t Cand = 0, CandAnalytic = 0, CandSim = 0;
-    int64_t BoundAnalytic = 0, BoundEmulated = 0, BoundFallback = 0;
-    for (const auto &[CounterName, Value] : obs::counterSnapshot()) {
-      if (CounterName == "opt.candidates")
-        Cand = Value;
-      else if (CounterName == "opt.candidates.analytic")
-        CandAnalytic = Value;
-      else if (CounterName == "opt.candidates.sim")
-        CandSim = Value;
-      else if (CounterName == "model.bound.analytic")
-        BoundAnalytic = Value;
-      else if (CounterName == "model.bound.emulated")
-        BoundEmulated = Value;
-      else if (CounterName == "model.bound.fallback")
-        BoundFallback = Value;
-    }
+    obs::MetricsSnapshot Snap = obs::snapshot();
+    auto C = [&](const char *Name) {
+      return static_cast<long long>(Snap.counter(Name));
+    };
     std::printf("telemetry : %lld candidates scored (analytic %lld, "
                 "sim %lld); tile bounds: analytic %lld, emulated %lld, "
                 "fallback %lld\n",
-                static_cast<long long>(Cand),
-                static_cast<long long>(CandAnalytic),
-                static_cast<long long>(CandSim),
-                static_cast<long long>(BoundAnalytic),
-                static_cast<long long>(BoundEmulated),
-                static_cast<long long>(BoundFallback));
+                C("opt.candidates"), C("opt.candidates.analytic"),
+                C("opt.candidates.sim"), C("model.bound.analytic"),
+                C("model.bound.emulated"), C("model.bound.fallback"));
   }
 
   if (Args.has("trace-json")) {

@@ -28,6 +28,7 @@
 
 #include "obs/FlightRecorder.h"
 #include "obs/JsonCheck.h"
+#include "obs/JsonWriter.h"
 #include "obs/Log.h"
 #include "obs/Metrics.h"
 #include "serve/Server.h"
@@ -99,44 +100,32 @@ void printUsage() {
       "  1 anything else (connect failure, bad request, internal error)\n");
 }
 
-using obs::jsonEscape;
-
 /// Builds the request line from convenience flags.
 std::string buildRequest(const ArgParse &Args) {
   if (Args.has("request"))
     return Args.getString("request", "");
-  if (Args.has("stats"))
-    return "{\"op\": \"stats\"}";
-  if (Args.has("metrics"))
-    return "{\"op\": \"metrics\"}";
-  if (Args.has("dump"))
-    return "{\"op\": \"dump\"}";
-  if (Args.has("ping"))
-    return "{\"op\": \"ping\"}";
-  if (Args.has("shutdown"))
-    return "{\"op\": \"shutdown\"}";
+  obs::JsonWriter W;
+  W.beginObject();
+  for (const char *Op : {"stats", "metrics", "dump", "ping", "shutdown"})
+    if (Args.has(Op))
+      return W.key("op").string(Op).endObject().take();
   if (!Args.has("kernel"))
     return "";
-  std::string Req = std::string("{\"op\": \"") +
-                    (Args.has("lint") ? "lint" : "optimize") +
-                    "\", \"kernel\": \"" +
-                    jsonEscape(Args.getString("kernel", "")) + "\"";
+  W.key("op").string(Args.has("lint") ? "lint" : "optimize");
+  W.key("kernel").string(Args.getString("kernel", ""));
   if (Args.has("size"))
-    Req += ", \"size\": " + std::to_string(Args.getInt("size", 0));
+    W.key("size").integer(Args.getInt("size", 0));
   if (Args.has("arch"))
-    Req += ", \"arch\": \"" + jsonEscape(Args.getString("arch", "host")) +
-           "\"";
+    W.key("arch").string(Args.getString("arch", "host"));
   if (Args.has("schedule"))
-    Req += ", \"schedule\": \"" +
-           jsonEscape(Args.getString("schedule", "")) + "\"";
+    W.key("schedule").string(Args.getString("schedule", ""));
   if (Args.has("no-nti"))
-    Req += ", \"nti\": false";
+    W.key("nti").boolean(false);
   if (Args.has("no-compile"))
-    Req += ", \"compile\": false";
+    W.key("compile").boolean(false);
   if (Args.has("id"))
-    Req += ", \"id\": \"" + jsonEscape(Args.getString("id", "")) + "\"";
-  Req += "}";
-  return Req;
+    W.key("id").string(Args.getString("id", ""));
+  return W.endObject().take();
 }
 
 /// Connects to \p Path, retrying until \p TimeoutMs elapses (the daemon
@@ -211,26 +200,26 @@ int runClient(const ArgParse &Args) {
     return 1;
   }
   Reply.resize(Nl);
-  if (Args.has("metrics") &&
-      Reply.find("\"ok\": true") != std::string::npos) {
+  std::unique_ptr<obs::JsonValue> Doc = obs::parseJson(Reply, nullptr);
+  const obs::JsonValue *Ok = Doc ? Doc->find("ok") : nullptr;
+  const bool Succeeded = Ok && Ok->BoolValue;
+  if (Args.has("metrics") && Succeeded) {
     // Unwrap the exposition text from the JSON envelope so the output
     // is directly scrapeable (and pipeable into ltp-metrics-check).
-    std::string ParseError;
-    std::unique_ptr<obs::JsonValue> Doc = obs::parseJson(Reply, &ParseError);
-    const obs::JsonValue *Text = Doc ? Doc->find("metrics") : nullptr;
+    const obs::JsonValue *Text = Doc->find("metrics");
     if (!Text || !Text->isString()) {
-      std::fprintf(stderr, "error: malformed metrics response: %s\n",
-                   ParseError.empty() ? "no \"metrics\" string field"
-                                      : ParseError.c_str());
+      std::fprintf(stderr, "error: malformed metrics response: no "
+                           "\"metrics\" string field\n");
       return 1;
     }
     std::fputs(Text->StringValue.c_str(), stdout);
     return 0;
   }
   std::printf("%s\n", Reply.c_str());
-  if (Reply.find("\"ok\": true") != std::string::npos)
+  if (Succeeded)
     return 0;
-  if (Reply.find("\"kind\": \"illegal_schedule\"") != std::string::npos)
+  const obs::JsonValue *Kind = Doc ? Doc->find("kind") : nullptr;
+  if (Kind && Kind->StringValue == "illegal_schedule")
     return 2;
   return 1;
 }
