@@ -2,6 +2,7 @@
 
 #include "analysis/Legality.h"
 
+#include "analysis/IRVerify.h"
 #include "ir/IRVisitor.h"
 #include "support/Format.h"
 
@@ -660,6 +661,19 @@ ltp::analysis::verifyStageSchedule(const Func &F, int StageIndex,
       continue; // the loop was split after the mark; lowering drops it
     if (Mark.MarkKind == PendingMark::Kind::Unroll)
       continue; // plain unroll preserves execution order
+    // A constant-extent vector loop beyond the backend's limit would
+    // fail IR verification after lowering.
+    const int64_t VectorLimit = IRVerifyOptions().MaxVectorExtent;
+    const int64_t Extent = Nest.Dims[Pos].ConstExtent.value_or(0);
+    if (Mark.MarkKind == PendingMark::Kind::Vectorize &&
+        Extent > VectorLimit) {
+      FailVerdict(Mark.DirIndex, Severity::Error,
+                  strFormat("vectorized loop '%s' extent %lld exceeds the "
+                            "backend limit %lld; split it first",
+                            Mark.Name.c_str(), static_cast<long long>(Extent),
+                            static_cast<long long>(VectorLimit)));
+      continue;
+    }
     for (const ShadowDep &Dep : Nest.Deps) {
       if (Dep.Reduction && Mark.MarkKind == PendingMark::Kind::UnrollJam)
         continue; // jamming an accumulator chain only reassociates it

@@ -2,6 +2,7 @@
 
 #include "core/Optimizer.h"
 
+#include "analysis/IRVerify.h"
 #include "analysis/Legality.h"
 #include "obs/Metrics.h"
 #include "obs/Provenance.h"
@@ -18,7 +19,9 @@ namespace {
 
 /// Chooses the plain treatment for a stage: parallelize the outermost
 /// pure loop and vectorize the innermost (column) loop — the schedule for
-/// NoTransform statements and for the pure init stages of reductions.
+/// NoTransform statements and for the pure init stages of reductions. A
+/// column longer than the backend's vector-loop limit is vectorized in
+/// limit-sized chunks.
 ParVecPlan planParVec(const StageAccessInfo &Info, const ArchParams &Arch) {
   ParVecPlan Plan;
   // Outermost pure loop: the last pure loop in default order.
@@ -31,8 +34,12 @@ ParVecPlan planParVec(const StageAccessInfo &Info, const ArchParams &Arch) {
     Plan.ParallelVar = Outermost;
   const LoopInfo &Inner = Info.Loops.front();
   if (Arch.VectorWidth > 1 && !Inner.IsReduction &&
-      Inner.Extent >= Arch.VectorWidth)
+      Inner.Extent >= Arch.VectorWidth) {
     Plan.VectorVar = Inner.Name;
+    const int64_t Limit = analysis::IRVerifyOptions().MaxVectorExtent;
+    if (Inner.Extent > Limit)
+      Plan.VectorSplit = Limit;
+  }
   return Plan;
 }
 
@@ -40,12 +47,13 @@ void applyParVec(Func &F, int StageIndex, const ParVecPlan &Plan) {
   Stage S = StageIndex < 0 ? F.pureStage() : F.update(StageIndex);
   if (!Plan.ParallelVar.empty())
     S.parallel(Plan.ParallelVar);
-  if (!Plan.VectorVar.empty())
+  if (Plan.VectorSplit > 0) {
+    S.split(Plan.VectorVar, Plan.VectorVar + "_t", Plan.VectorVar + "_i",
+            Plan.VectorSplit);
+    S.vectorize(Plan.VectorVar + "_i");
+  } else if (!Plan.VectorVar.empty()) {
     S.vectorize(Plan.VectorVar);
-}
-
-int computeStageIndex(const Func &F) {
-  return F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
+  }
 }
 
 } // namespace
@@ -58,7 +66,7 @@ StagePlan ltp::planStage(const Func &F,
   StagePlan Plan;
   obs::ScopedSpan Span("opt.plan", [&] { return "func=" + F.name(); });
 
-  int ComputeStage = computeStageIndex(F);
+  int ComputeStage = F.computeStageIndex();
   Plan.Info = analyzeStage(F, ComputeStage, OutputExtents);
   Plan.Class = classify(Plan.Info);
   Plan.ClassifyMillis = T.elapsedMillis();
@@ -122,7 +130,7 @@ StagePlan ltp::planStage(const Func &F,
 }
 
 void ltp::applyPlan(Func &F, const StagePlan &Plan) {
-  int ComputeStage = computeStageIndex(F);
+  int ComputeStage = F.computeStageIndex();
   switch (Plan.Kind) {
   case StagePlan::Mode::Temporal:
     applyTemporalSchedule(F, ComputeStage, Plan.Temporal, Plan.Info);
@@ -165,7 +173,7 @@ OptimizationResult ltp::optimize(Func &F,
   // Post-condition: every schedule the optimizer emits must pass the
   // static verifier. A failure here is an optimizer bug, not user error.
 #ifndef NDEBUG
-  int ComputeStage = computeStageIndex(F);
+  int ComputeStage = F.computeStageIndex();
   std::vector<int> ScheduledStages = {ComputeStage};
   if (ComputeStage >= 0)
     ScheduledStages.push_back(-1); // the init stage scheduled above

@@ -54,6 +54,9 @@ struct ParVecPlan {
   std::string ParallelVar;
   /// Innermost loop to vectorize ("" = none).
   std::string VectorVar;
+  /// When nonzero, VectorVar is split by this factor and its inner loop
+  /// vectorized: the row is longer than the backend's vector-loop limit.
+  int64_t VectorSplit = 0;
 };
 
 /// A fully decided schedule for one Func, produced by planStage without

@@ -244,6 +244,10 @@ public:
   /// Number of update definitions.
   int numUpdates() const;
 
+  /// The definition a schedule applies to: the last update of a
+  /// reduction, or -1 (the pure definition) when there is no update.
+  int computeStageIndex() const;
+
   /// The \p Index'th update definition.
   const Definition &updateDefinition(int Index) const;
 

@@ -150,10 +150,6 @@ std::string &threadRequestId() {
 
 const std::string &ltp::obs::currentRequestId() { return threadRequestId(); }
 
-void ltp::obs::setCurrentRequestId(std::string Rid) {
-  threadRequestId() = std::move(Rid);
-}
-
 RequestIdScope::RequestIdScope(std::string Rid)
     : Saved(std::move(threadRequestId())) {
   threadRequestId() = std::move(Rid);

@@ -135,9 +135,6 @@ void logEvent(LogLevel L, const std::string &Component,
 /// request scope).
 const std::string &currentRequestId();
 
-/// Binds \p Rid to the calling thread (internal; prefer RequestIdScope).
-void setCurrentRequestId(std::string Rid);
-
 /// RAII: binds a request ID to the calling thread for the scope's
 /// lifetime, restoring the previous binding on exit. Everything recorded
 /// on this thread inside the scope — log lines, spans, provenance

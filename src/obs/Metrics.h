@@ -64,8 +64,8 @@ inline bool metricsEnabled() {
 #endif
 }
 
-/// Turns metric recording on or off (bench/serve_load measures the
-/// overhead of the "on" state against this "off" state).
+/// Turns metric recording on or off at run time (perfbench's serving
+/// workloads force it on).
 void setMetricsEnabled(bool Enabled);
 
 //===----------------------------------------------------------------------===//

@@ -67,11 +67,6 @@ void observeCompileMillis(double Millis) {
   H.observe(Millis);
 }
 
-/// Compute-stage index of \p F (last update for reductions, -1 = pure).
-int scheduleStageIndex(const Func &F) {
-  return F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
-}
-
 Response badRequest(const Request &Req, const std::string &Error) {
   Response R;
   R.Ok = false;
@@ -281,7 +276,7 @@ Response OptimizerService::runSession(const Request &Req,
     for (size_t S = 0; S != Sess.Instance.Stages.size(); ++S) {
       Func &F = Sess.Instance.Stages[S];
       lint::LintReport Report =
-          lint::lintStageSchedule(F, scheduleStageIndex(F),
+          lint::lintStageSchedule(F, F.computeStageIndex(),
                                   Sess.Instance.StageExtents[S], Sess.Arch, LO);
       for (const lint::Diagnostic &D : Report.Diagnostics)
         Sess.Resp.DiagnosticsJson.push_back(
@@ -312,7 +307,7 @@ bool OptimizerService::scheduleSession(Session &Sess) {
     auto ReplayStart = std::chrono::steady_clock::now();
     Func &F = Sess.Instance.Stages.back();
     F.clearSchedules();
-    int Stage = scheduleStageIndex(F);
+    int Stage = F.computeStageIndex();
     auto Applied = applyVerifiedScheduleText(
         F, Stage, Sess.Req.Schedule, Sess.Instance.StageExtents.back());
     R.StageMillis.emplace_back("schedule.replay", millisSince(ReplayStart));
@@ -341,7 +336,7 @@ bool OptimizerService::scheduleSession(Session &Sess) {
   R.Class = statementClassName(Last.Class.Kind);
   R.Description = Last.Description;
   R.Schedule = printSchedule(Sess.Instance.Stages.back(),
-                             scheduleStageIndex(Sess.Instance.Stages.back()));
+                             Sess.Instance.Stages.back().computeStageIndex());
   return true;
 }
 

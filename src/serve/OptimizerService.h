@@ -68,9 +68,6 @@ public:
   /// flight-recorder digest for every outcome.
   Response handle(const Request &Req);
 
-  /// The shared kernel store underneath (tests and stats).
-  JITCompiler &compiler() { return Compiler; }
-
   /// Completed + in-flight entries in the dedup table.
   size_t dedupTableSize();
 

@@ -62,13 +62,7 @@ public:
   /// call repeatedly).
   void requestStop();
 
-  /// True once a stop has been requested.
-  bool stopRequested() const { return StopFlag.load(); }
-
   const std::string &socketPath() const { return SocketPath; }
-
-  /// The shared optimization engine (tests poke counters through it).
-  OptimizerService &service() { return Service; }
 
 private:
   void acceptLoop();

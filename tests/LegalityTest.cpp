@@ -61,13 +61,9 @@ Func makeShift2D() {
   return A;
 }
 
-int computeStage(const Func &F) {
-  return F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
-}
-
 analysis::LegalityReport report(const Func &F,
                                 std::vector<int64_t> Extents) {
-  return analysis::verifyStageSchedule(F, computeStage(F), Extents);
+  return analysis::verifyStageSchedule(F, F.computeStageIndex(), Extents);
 }
 
 void expectIllegal(const analysis::LegalityReport &R,
@@ -359,7 +355,7 @@ TEST(Legality, NonTemporalOnReReadBufferWarnsOnly) {
 TEST(Dependence, MatmulGraphMarksReductionDeps) {
   Func F = makeMatmul();
   analysis::DependenceGraph G =
-      analysis::buildDependenceGraph(F, computeStage(F), {N, N});
+      analysis::buildDependenceGraph(F, F.computeStageIndex(), {N, N});
   EXPECT_TRUE(G.Affine);
   EXPECT_TRUE(G.mayCarry("k"));
   EXPECT_FALSE(G.mayCarry("i"));
@@ -369,7 +365,7 @@ TEST(Dependence, MatmulGraphMarksReductionDeps) {
 TEST(Dependence, RecurrenceGraphHasExactForwardDistance) {
   Func F = makeShift1D();
   analysis::DependenceGraph G =
-      analysis::buildDependenceGraph(F, computeStage(F), {N});
+      analysis::buildDependenceGraph(F, F.computeStageIndex(), {N});
   EXPECT_TRUE(G.mayCarry("x"));
   bool FoundExactOne = false;
   for (const analysis::Dependence &D : G.Deps) {
@@ -388,7 +384,7 @@ TEST(Dependence, RecurrenceGraphHasExactForwardDistance) {
 TEST(VerifiedScheduleText, IllegalDirectiveQuotedWithSpan) {
   Func F = makeMatmul();
   ErrorOr<bool> R = applyVerifiedScheduleText(
-      F, computeStage(F), "split(i, it, ii, 8); parallel(k);", {N, N});
+      F, F.computeStageIndex(), "split(i, it, ii, 8); parallel(k);", {N, N});
   ASSERT_FALSE(static_cast<bool>(R));
   EXPECT_NE(R.getError().find("offset"), std::string::npos) << R.getError();
   EXPECT_NE(R.getError().find("'parallel(k)'"), std::string::npos)
@@ -400,7 +396,7 @@ TEST(VerifiedScheduleText, IllegalDirectiveQuotedWithSpan) {
 TEST(VerifiedScheduleText, LegalScheduleAccepted) {
   Func F = makeMatmul();
   ErrorOr<bool> R = applyVerifiedScheduleText(
-      F, computeStage(F), "split(i, it, ii, 8); parallel(it);", {N, N});
+      F, F.computeStageIndex(), "split(i, it, ii, 8); parallel(it);", {N, N});
   EXPECT_TRUE(static_cast<bool>(R)) << R.getError();
 }
 
@@ -408,11 +404,35 @@ TEST(VerifiedScheduleText, VectorizeWidthUnitMapsToBothDirectives) {
   // vectorize(k, 8) expands to split + mark; the verdict lands on the
   // mark but the quoted span must still be the whole source unit.
   Func F = makeMatmul();
-  ErrorOr<bool> R = applyVerifiedScheduleText(F, computeStage(F),
+  ErrorOr<bool> R = applyVerifiedScheduleText(F, F.computeStageIndex(),
                                               "vectorize(k, 8);", {N, N});
   ASSERT_FALSE(static_cast<bool>(R));
   EXPECT_NE(R.getError().find("'vectorize(k, 8)'"), std::string::npos)
       << R.getError();
+}
+
+TEST(VerifiedScheduleText, VectorizeBeyondBackendLimitIsIllegal) {
+  // Lowering's IR check caps a constant-extent vector loop at 4096; the
+  // verifier rejects a longer one up front. Chunking it first is legal.
+  InputBuffer In("In", ir::Type::float32(), 1);
+  Var X("x");
+  Func A("A");
+  A(X) = In(X);
+  ErrorOr<bool> R = applyVerifiedScheduleText(A, -1, "vectorize(x);", {4097});
+  ASSERT_FALSE(static_cast<bool>(R));
+  EXPECT_NE(R.getError().find("'vectorize(x)'"), std::string::npos)
+      << R.getError();
+  EXPECT_NE(R.getError().find("exceeds the backend limit 4096"),
+            std::string::npos)
+      << R.getError();
+
+  A.clearSchedules();
+  R = applyVerifiedScheduleText(A, -1, "vectorize(x);", {4096});
+  EXPECT_TRUE(static_cast<bool>(R)) << R.getError();
+  A.clearSchedules();
+  R = applyVerifiedScheduleText(
+      A, -1, "split(x, x_t, x_i, 4096); vectorize(x_i);", {4097});
+  EXPECT_TRUE(static_cast<bool>(R)) << R.getError();
 }
 
 //===----------------------------------------------------------------------===//

@@ -14,6 +14,7 @@
 #include "model/CacheEmu.h"
 #include "core/Optimizer.h"
 #include "lang/Lower.h"
+#include "lang/ScheduleText.h"
 
 #include <gtest/gtest.h>
 
@@ -118,6 +119,32 @@ INSTANTIATE_TEST_SUITE_P(AllBenchmarks, OptimizedCorrectness,
                                C = 'T';
                            return Name;
                          });
+
+// A row longer than the backend's vector-loop limit (4096) is vectorized
+// in limit-sized chunks instead of aborting lowering; a row at the limit
+// keeps the whole-row vector loop. The chunked kernel is still correct.
+TEST(OptimizerTest, RowBeyondVectorLimitIsChunkedAndCorrect) {
+  const BenchmarkDef *Def = findBenchmark("copy");
+  ASSERT_NE(Def, nullptr);
+  {
+    BenchmarkInstance AtLimit = Def->Create(4096);
+    optimizeInstance(AtLimit, intelI7_6700());
+    EXPECT_EQ(printSchedule(AtLimit.Stages.back(), -1),
+              "parallel(y); vectorize(x); store_nontemporal;");
+  }
+  if (!jitAvailable())
+    GTEST_SKIP() << "no host C compiler available";
+  BenchmarkInstance Instance = Def->Create(4097);
+  optimizeInstance(Instance, intelI7_6700());
+  EXPECT_EQ(printSchedule(Instance.Stages.back(), -1),
+            "parallel(y); split(x, x_t, x_i, 4096); vectorize(x_i); "
+            "store_nontemporal;");
+  JITCompiler Compiler;
+  auto Pipeline = compilePipeline(Instance, Compiler);
+  ASSERT_TRUE(static_cast<bool>(Pipeline)) << Pipeline.getError();
+  Pipeline->run(Instance);
+  EXPECT_TRUE(verifyOutput(Instance));
+}
 
 TEST(TemporalOptimizerTest, MatmulScheduleIsFeasible) {
   const BenchmarkDef *Def = findBenchmark("matmul");

@@ -15,6 +15,7 @@
 #include "core/Optimizer.h"
 #include "lang/Func.h"
 #include "lang/ScheduleText.h"
+#include "obs/JsonCheck.h"
 #include "obs/Telemetry.h"
 #include "serve/OptimizerService.h"
 #include "serve/Server.h"
@@ -30,6 +31,7 @@
 #include <sys/un.h>
 #include <thread>
 #include <unistd.h>
+#include <vector>
 
 using namespace ltp;
 using namespace ltp::serve;
@@ -344,7 +346,7 @@ TEST(ServeService, ArchTextSizesSplitTheDedupKeyByTheByte) {
   Func &F = Instance.Stages.back();
   optimize(F, Instance.StageExtents.back(), *Arch);
   std::string Expected =
-      printSchedule(F, F.numUpdates() > 0 ? F.numUpdates() - 1 : -1);
+      printSchedule(F, F.computeStageIndex());
   EXPECT_EQ(B.Schedule, Expected);
   EXPECT_NE(B.Schedule, A.Schedule);
 }
@@ -365,6 +367,35 @@ TEST(ServeService, CompileReturnsSharedStorePaths) {
   ASSERT_TRUE(B.Ok);
   EXPECT_EQ(B.Dedup, DedupOutcome::Cached);
   EXPECT_EQ(B.SoPaths, A.SoPaths);
+}
+
+// A row longer than the backend's vector-loop limit (4096): the optimizer
+// vectorizes it in limit-sized chunks, so the compile succeeds and the
+// service keeps serving.
+TEST(ServeService, CompileBeyondVectorLimitSucceeds) {
+  if (!jitAvailable())
+    GTEST_SKIP() << "no host C compiler available";
+  OptimizerService Service;
+  Response R = Service.handle(optimizeRequest("copy", 4097, /*Compile=*/true));
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_FALSE(R.SoPaths.empty());
+  EXPECT_NE(R.Schedule.find("split(x, x_t, x_i, 4096)"), std::string::npos)
+      << R.Schedule;
+  Response Next = Service.handle(optimizeRequest("copy", 64));
+  EXPECT_TRUE(Next.Ok) << Next.Error;
+}
+
+// A user schedule vectorizing the whole 4097-wide row is classified
+// illegal instead of reaching lowering's IR check.
+TEST(ServeService, VectorizeBeyondVectorLimitIsIllegal) {
+  OptimizerService Service;
+  Request Req = optimizeRequest("copy", 4097);
+  Req.Schedule = "vectorize(x);";
+  Response R = Service.handle(Req);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Kind, ErrorKind::IllegalSchedule);
+  EXPECT_NE(R.Error.find("exceeds the backend limit 4096"), std::string::npos)
+      << R.Error;
 }
 
 //===----------------------------------------------------------------------===//
@@ -499,6 +530,69 @@ TEST(ServeServer, SocketRoundTrip) {
   }
   Waiter.join();
   EXPECT_NE(::access(Path.c_str(), F_OK), 0); // socket unlinked
+}
+
+// Concurrent persistent connections against one daemon: 8 clients each
+// send 40 requests over 4 unique keys on one connection. Every key is
+// optimized exactly once; every other request is a dedup hit carrying
+// the same schedule.
+TEST(ServeServer, PersistentConnectionsShareTheDedupTable) {
+  std::string Path = "/tmp/ltp-serve-persist-" +
+                     std::to_string(static_cast<long>(::getpid())) + ".sock";
+  Server Srv(Path);
+  std::string Error;
+  ASSERT_TRUE(Srv.start(&Error)) << Error;
+  std::thread Waiter([&] { Srv.wait(); });
+
+  const char *Kernels[] = {"copy", "mask", "tp", "tpm"};
+  constexpr int Clients = 8;
+  constexpr int PerClient = 40;
+  const int64_t HitsBefore = obs::counter("serve.dedup_hit").value();
+  const int64_t MissBefore = obs::counter("serve.dedup_miss").value();
+
+  // Replies[C][N] answers client C's N-th request, for key (C + N) % 4.
+  std::vector<std::vector<std::string>> Replies(Clients);
+  std::vector<std::thread> Threads;
+  for (int C = 0; C != Clients; ++C)
+    Threads.emplace_back([&, C] {
+      ClientConn Conn(Path);
+      if (!Conn.ok())
+        return;
+      for (int N = 0; N != PerClient; ++N)
+        Replies[C].push_back(Conn.roundTrip(
+            std::string("{\"kernel\": \"") + Kernels[(C + N) % 4] +
+            "\", \"size\": 64, \"arch\": \"6700\", "
+            "\"compile\": false}"));
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  {
+    ClientConn Conn(Path);
+    EXPECT_NE(Conn.roundTrip("{\"op\": \"shutdown\"}").find("\"stopping\""),
+              std::string::npos);
+  }
+  Waiter.join();
+
+  std::string Schedules[4];
+  for (int C = 0; C != Clients; ++C) {
+    ASSERT_EQ(Replies[C].size(), static_cast<size_t>(PerClient)) << C;
+    for (int N = 0; N != PerClient; ++N) {
+      std::string ParseError;
+      auto Reply = obs::parseJson(Replies[C][N], &ParseError);
+      ASSERT_TRUE(Reply) << ParseError << ": " << Replies[C][N];
+      const obs::JsonValue *Ok = Reply->find("ok");
+      const obs::JsonValue *Schedule = Reply->find("schedule");
+      ASSERT_TRUE(Ok && Ok->BoolValue) << Replies[C][N];
+      ASSERT_TRUE(Schedule && Schedule->isString()) << Replies[C][N];
+      std::string &Expected = Schedules[(C + N) % 4];
+      if (Expected.empty())
+        Expected = Schedule->StringValue;
+      EXPECT_EQ(Schedule->StringValue, Expected) << Replies[C][N];
+    }
+  }
+  EXPECT_EQ(obs::counter("serve.dedup_miss").value() - MissBefore, 4);
+  EXPECT_EQ(obs::counter("serve.dedup_hit").value() - HitsBefore,
+            Clients * PerClient - 4);
 }
 
 // Requests the daemon cannot serve get a classified bad_request and the

@@ -5,14 +5,11 @@
 // Compares a bench's machine-readable report (--json output) against a
 // committed baseline and exits nonzero when any row regresses beyond the
 // threshold. Rows are matched by (bench, config); the compared metric
-// defaults to best_s (lower is better) and can be any numeric field of
-// the row, including a dotted path into nested objects (serve_load's
-// `latency.p99`) — for cross-machine CI gates prefer a host-independent
-// metric such as table5's `candidates` count, which --threshold 0 gates
-// exactly.
+// defaults to best_s and can be any numeric field of the row. Lower is
+// better. For cross-machine CI gates prefer a host-independent metric
+// such as table5's `candidates` count, which --threshold 0 gates exactly:
 //
-//   ltp-bench-diff baseline.json current.json \
-//       --metric candidates --threshold 0
+//   ltp-bench-diff baseline.json current.json --metric candidates --threshold 0
 //
 // A report whose top level carries a "skipped" marker (perf_event or JIT
 // unavailable — see bench/Harness.h reportSkipped) compares as empty and
@@ -42,20 +39,18 @@ struct Options {
   std::string CurrentPath;
   std::string Metric = "best_s";
   double Threshold = 0.2;
-  bool HigherBetter = false;
 };
 
 void usage(const char *Argv0) {
   std::fprintf(
       stderr,
       "usage: %s <baseline.json> <current.json> [--metric NAME]\n"
-      "          [--threshold FRAC] [--higher-better]\n"
+      "          [--threshold FRAC]\n"
       "\n"
-      "Fails (exit 1) when any (bench, config) row's metric regresses\n"
-      "by more than FRAC (default 0.2 = 20%%) relative to the baseline.\n"
-      "Lower is better by default; --higher-better inverts the sense\n"
-      "(use for throughput or ratio metrics). --threshold 0 fails on any\n"
-      "regression (use for exact counts like table5's candidates).\n",
+      "Fails (exit 1) when any (bench, config) row's metric grows\n"
+      "by more than FRAC (default 0.2 = 20%%) relative to the baseline;\n"
+      "lower is better. --threshold 0 fails on any growth (use for\n"
+      "exact counts like table5's candidates).\n",
       Argv0);
 }
 
@@ -84,25 +79,6 @@ std::unique_ptr<JsonValue> loadReport(const std::string &Path) {
   return Root;
 }
 
-/// Resolves \p Metric against \p Row, descending through nested objects
-/// at each '.' ("latency.p99" -> Row["latency"]["p99"]). A plain name
-/// with no dots is a direct member lookup, so field names containing
-/// dots keep working when no nested object shadows them.
-const JsonValue *findMetric(const JsonValue &Row, const std::string &Metric) {
-  if (const JsonValue *Direct = Row.find(Metric))
-    return Direct;
-  const JsonValue *Node = &Row;
-  size_t Start = 0;
-  while (Node) {
-    size_t Dot = Metric.find('.', Start);
-    if (Dot == std::string::npos)
-      return Node->find(Metric.substr(Start));
-    Node = Node->find(Metric.substr(Start, Dot - Start));
-    Start = Dot + 1;
-  }
-  return nullptr;
-}
-
 /// (bench, config) -> metric value for every row carrying the metric as
 /// a non-negative number (timing fields are negative when unavailable).
 std::map<std::string, double> indexRows(const JsonValue &Root,
@@ -114,7 +90,7 @@ std::map<std::string, double> indexRows(const JsonValue &Root,
   for (const JsonValue &Row : Results->Elements) {
     const JsonValue *Bench = Row.find("bench");
     const JsonValue *Config = Row.find("config");
-    const JsonValue *Value = findMetric(Row, Metric);
+    const JsonValue *Value = Row.find(Metric);
     if (!Bench || !Bench->isString() || !Config || !Config->isString() ||
         !Value || !Value->isNumber() || Value->NumberValue < 0.0)
       continue;
@@ -134,8 +110,6 @@ int main(int Argc, char **Argv) {
       Opts.Metric = Argv[++I];
     } else if (Arg == "--threshold" && I + 1 < Argc) {
       Opts.Threshold = std::atof(Argv[++I]);
-    } else if (Arg == "--higher-better") {
-      Opts.HigherBetter = true;
     } else if (Arg == "--help" || Arg == "-h") {
       usage(Argv[0]);
       return 0;
@@ -183,20 +157,18 @@ int main(int Argc, char **Argv) {
     }
     ++Compared;
     double CurValue = It->second;
-    // Relative change in the "worse" direction; negative = improved. From
-    // a zero baseline any growth of a lower-is-better metric (a count)
-    // is an unbounded regression.
+    // Relative growth; negative = improved. From a zero baseline any
+    // growth (of a count) is an unbounded regression.
     double Regress = 0.0;
     if (BaseValue > 0.0)
-      Regress = Opts.HigherBetter ? (BaseValue - CurValue) / BaseValue
-                                  : (CurValue - BaseValue) / BaseValue;
-    else if (!Opts.HigherBetter && CurValue > 0.0)
+      Regress = (CurValue - BaseValue) / BaseValue;
+    else if (CurValue > 0.0)
       Regress = HUGE_VAL;
     bool Bad = Regress > Opts.Threshold;
     std::printf("  %-8s %-28s %s: %.6g -> %.6g (%+.1f%%)\n",
                 Bad ? "REGRESS" : (Regress < 0.0 ? "improve" : "ok"),
                 Key.c_str(), Opts.Metric.c_str(), BaseValue, CurValue,
-                (Opts.HigherBetter ? -Regress : Regress) * 100.0);
+                Regress * 100.0);
     if (Bad)
       ++Regressions;
   }

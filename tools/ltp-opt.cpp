@@ -168,7 +168,7 @@ int runLint(BenchmarkInstance &Instance, const BenchmarkDef *Def,
   Diags.beginArray();
   for (size_t S = 0; S != Instance.Stages.size(); ++S) {
     Func &F = Instance.Stages[S];
-    int Stage = F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
+    int Stage = F.computeStageIndex();
     lint::LintReport Report = lint::lintStageSchedule(
         F, Stage, Instance.StageExtents[S], Arch, Options);
     if (Args.has("lint-fix") && !Report.clean()) {
@@ -235,7 +235,7 @@ int processBenchmark(const BenchmarkDef *Def, const ArgParse &Args,
     // pipeline stage.
     Func &F = Instance.Stages.back();
     F.clearSchedules();
-    int Stage = F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
+    int Stage = F.computeStageIndex();
     auto R = applyVerifiedScheduleText(F, Stage, Args.getString("schedule", ""),
                                        Instance.StageExtents.back());
     if (!R) {
@@ -255,9 +255,7 @@ int processBenchmark(const BenchmarkDef *Def, const ArgParse &Args,
                   S, Instance.Stages[S].name().c_str(),
                   statementClassName(R.Class.Kind), R.RuntimeMillis,
                   R.Description.c_str());
-      int Stage = Instance.Stages[S].numUpdates() > 0
-                      ? Instance.Stages[S].numUpdates() - 1
-                      : -1;
+      int Stage = Instance.Stages[S].computeStageIndex();
       std::printf("  directives: %s\n",
                   printSchedule(Instance.Stages[S], Stage).c_str());
     }
@@ -273,7 +271,7 @@ int processBenchmark(const BenchmarkDef *Def, const ArgParse &Args,
     bool AnyErrors = false;
     for (size_t S = 0; S != Instance.Stages.size(); ++S) {
       const Func &F = Instance.Stages[S];
-      int Stage = F.numUpdates() > 0 ? F.numUpdates() - 1 : -1;
+      int Stage = F.computeStageIndex();
       analysis::LegalityReport Report = analysis::verifyStageSchedule(
           F, Stage, Instance.StageExtents[S]);
       std::printf("verify stage %zu (%s):\n%s", S, F.name().c_str(),
@@ -358,9 +356,9 @@ int processBenchmark(const BenchmarkDef *Def, const ArgParse &Args,
   }
 
   if (Args.has("compile")) {
-    // The one-process-per-request baseline of bench/serve_load: produce a
-    // ready-to-dlopen kernel in the shared content-addressed store, skip
-    // the timed runs.
+    // CI's one-process-per-request spawn baseline for the serving gate:
+    // produce a ready-to-dlopen kernel in the shared content-addressed
+    // store, skip the timed runs.
     if (!jitAvailable()) {
       std::fprintf(stderr, "error: no host C compiler for --compile\n");
       return 1;
