@@ -35,29 +35,17 @@ namespace {
 BenchmarkInstance makeBlur(int64_t N) {
   BenchmarkInstance I;
   I.Name = "blur";
-  auto In = std::make_shared<Buffer<float>>(std::vector<int64_t>{N + 2, N});
-  In->fillRandom(21);
-  auto Out = std::make_shared<Buffer<float>>(std::vector<int64_t>{N, N});
-  auto Exp = std::make_shared<Buffer<float>>(std::vector<int64_t>{N, N});
-  I.Buffers["In"] = In->ref();
-  I.Buffers["Blur"] = Out->ref();
-  I.ExpectedRef = Exp->ref();
-  I.Storage = {In, Out, Exp};
+  InputBuffer InB = I.declare<float>("In", {N + 2, N}, 21);
 
   Var X("x"), Y("y");
-  InputBuffer InB("In", ir::Type::float32(), 2);
   Func Blur("Blur");
   Blur(X, Y) =
       (InB(X, Y) + InB(X + 1, Y) + InB(X + 2, Y)) * (1.0f / 3.0f);
-
-  I.Stages = {Blur};
-  I.StageExtents = {{N, N}};
-  I.OutputName = "Blur";
+  I.addStage(Blur, {N, N});
   I.Work = 3.0 * static_cast<double>(N) * N;
-  Buffer<float> *PIn = In.get(), *PExp = Exp.get();
-  I.FillExpected = [PIn, PExp, N] {
-    const float *P = PIn->data();
-    float *E = PExp->data();
+  I.Reference = [N](const BenchmarkInstance &In, const BufferRef &Want) {
+    const float *P = In.data<float>("In");
+    float *E = Want.data<float>();
     for (int64_t Row = 0; Row != N; ++Row)
       for (int64_t Col = 0; Col != N; ++Col)
         E[Row * N + Col] = (P[Row * (N + 2) + Col] +
@@ -69,9 +57,8 @@ BenchmarkInstance makeBlur(int64_t N) {
 }
 
 BenchmarkInstance makeInstance(const std::string &Name, int64_t Size) {
-  if (Name == "blur")
-    return makeBlur(Size);
-  return findBenchmark(Name)->Create(Size);
+  return *materialize(Name == "blur" ? makeBlur(Size)
+                                     : findBenchmark(Name)->shape(Size));
 }
 
 /// Element-wise comparison of two same-shaped dense buffers: bit-exact
@@ -79,9 +66,7 @@ BenchmarkInstance makeInstance(const std::string &Name, int64_t Size) {
 /// contracts mul+add, so results differ from the interpreter in the last
 /// ULPs).
 bool buffersMatch(const BufferRef &A, const BufferRef &B) {
-  int64_t Total = 1;
-  for (int64_t E : A.Extents)
-    Total *= E;
+  const int64_t Total = A.numElements();
   if (A.ElemType.isFloat()) {
     const float *PA = static_cast<const float *>(A.Data);
     const float *PB = static_cast<const float *>(B.Data);

@@ -2,36 +2,19 @@
 
 #include "benchmarks/Benchmarks.h"
 
+#include "support/Format.h"
+
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdio>
+#include <limits>
+#include <malloc.h>
+#include <unistd.h>
 
 using namespace ltp;
 
 namespace {
-
-/// Allocates a named buffer inside the instance and returns the typed
-/// handle (kept alive by Instance.Storage).
-template <typename T>
-Buffer<T> *addBuffer(BenchmarkInstance &Instance, const std::string &Name,
-                     std::vector<int64_t> Extents, uint32_t Seed) {
-  auto Owned = std::make_shared<Buffer<T>>(std::move(Extents));
-  if (Seed != 0)
-    Owned->fillRandom(Seed);
-  Instance.Buffers[Name] = Owned->ref();
-  Instance.Storage.push_back(Owned);
-  return Owned.get();
-}
-
-/// Allocates the expected-output buffer (not visible to the pipeline).
-template <typename T>
-Buffer<T> *addExpected(BenchmarkInstance &Instance,
-                       std::vector<int64_t> Extents) {
-  auto Owned = std::make_shared<Buffer<T>>(std::move(Extents));
-  Instance.ExpectedRef = Owned->ref();
-  Instance.Storage.push_back(Owned);
-  return Owned.get();
-}
 
 //===----------------------------------------------------------------------===//
 // Temporal-reuse kernels
@@ -40,26 +23,19 @@ Buffer<T> *addExpected(BenchmarkInstance &Instance,
 BenchmarkInstance makeMatmul(int64_t N) {
   BenchmarkInstance I;
   I.Name = "matmul";
-  Buffer<float> *A = addBuffer<float>(I, "A", {N, N}, 1);
-  Buffer<float> *B = addBuffer<float>(I, "B", {N, N}, 2);
-  addBuffer<float>(I, "C", {N, N}, 0);
-  Buffer<float> *E = addExpected<float>(I, {N, N});
+  InputBuffer AIn = I.declare<float>("A", {N, N}, 1);
+  InputBuffer BIn = I.declare<float>("B", {N, N}, 2);
 
   Var J("j"), Iv("i");
   RDom K(0, static_cast<int>(N), "k");
-  InputBuffer AIn("A", ir::Type::float32(), 2);
-  InputBuffer BIn("B", ir::Type::float32(), 2);
   Func C("C");
   C(J, Iv) = 0.0f;
   C(J, Iv) += AIn(K, Iv) * BIn(J, K);
-
-  I.Stages = {C};
-  I.StageExtents = {{N, N}};
-  I.OutputName = "C";
+  I.addStage(C, {N, N});
   I.Work = 2.0 * static_cast<double>(N) * N * N;
-  I.FillExpected = [A, B, E, N] {
-    const float *PA = A->data(), *PB = B->data();
-    float *PE = E->data();
+  I.Reference = [N](const BenchmarkInstance &In, const BufferRef &Want) {
+    const float *PA = In.data<float>("A"), *PB = In.data<float>("B");
+    float *PE = Want.data<float>();
     for (int64_t Row = 0; Row != N; ++Row)
       for (int64_t Col = 0; Col != N; ++Col) {
         float Acc = 0.0f;
@@ -75,28 +51,22 @@ BenchmarkInstance makeGemm(int64_t N) {
   BenchmarkInstance I;
   I.Name = "gemm";
   const float Alpha = 1.5f, Beta = 1.2f;
-  Buffer<float> *A = addBuffer<float>(I, "A", {N, N}, 3);
-  Buffer<float> *B = addBuffer<float>(I, "B", {N, N}, 4);
-  Buffer<float> *Cin = addBuffer<float>(I, "Cin", {N, N}, 5);
-  addBuffer<float>(I, "C", {N, N}, 0);
-  Buffer<float> *E = addExpected<float>(I, {N, N});
+  InputBuffer AIn = I.declare<float>("A", {N, N}, 3);
+  InputBuffer BIn = I.declare<float>("B", {N, N}, 4);
+  InputBuffer CIn = I.declare<float>("Cin", {N, N}, 5);
 
   Var J("j"), Iv("i");
   RDom K(0, static_cast<int>(N), "k");
-  InputBuffer AIn("A", ir::Type::float32(), 2);
-  InputBuffer BIn("B", ir::Type::float32(), 2);
-  InputBuffer CIn("Cin", ir::Type::float32(), 2);
   Func C("C");
   C(J, Iv) = Beta * CIn(J, Iv);
   C(J, Iv) += Alpha * AIn(K, Iv) * BIn(J, K);
-
-  I.Stages = {C};
-  I.StageExtents = {{N, N}};
-  I.OutputName = "C";
+  I.addStage(C, {N, N});
   I.Work = 2.0 * static_cast<double>(N) * N * N;
-  I.FillExpected = [A, B, Cin, E, N, Alpha, Beta] {
-    const float *PA = A->data(), *PB = B->data(), *PC = Cin->data();
-    float *PE = E->data();
+  I.Reference = [N, Alpha, Beta](const BenchmarkInstance &In,
+                                 const BufferRef &Want) {
+    const float *PA = In.data<float>("A"), *PB = In.data<float>("B"),
+                *PC = In.data<float>("Cin");
+    float *PE = Want.data<float>();
     for (int64_t Row = 0; Row != N; ++Row)
       for (int64_t Col = 0; Col != N; ++Col) {
         float Acc = Beta * PC[Row * N + Col];
@@ -111,47 +81,36 @@ BenchmarkInstance makeGemm(int64_t N) {
 BenchmarkInstance make3mm(int64_t N) {
   BenchmarkInstance I;
   I.Name = "3mm";
-  Buffer<float> *A = addBuffer<float>(I, "A", {N, N}, 6);
-  Buffer<float> *B = addBuffer<float>(I, "B", {N, N}, 7);
-  Buffer<float> *Cm = addBuffer<float>(I, "Cm", {N, N}, 8);
-  Buffer<float> *D = addBuffer<float>(I, "D", {N, N}, 9);
-  addBuffer<float>(I, "E", {N, N}, 0);
-  addBuffer<float>(I, "F", {N, N}, 0);
-  addBuffer<float>(I, "G", {N, N}, 0);
-  Buffer<float> *Want = addExpected<float>(I, {N, N});
+  InputBuffer AIn = I.declare<float>("A", {N, N}, 6);
+  InputBuffer BIn = I.declare<float>("B", {N, N}, 7);
+  InputBuffer CmIn = I.declare<float>("Cm", {N, N}, 8);
+  InputBuffer DIn = I.declare<float>("D", {N, N}, 9);
 
   Var J("j"), Iv("i");
-  InputBuffer AIn("A", ir::Type::float32(), 2);
-  InputBuffer BIn("B", ir::Type::float32(), 2);
-  InputBuffer CmIn("Cm", ir::Type::float32(), 2);
-  InputBuffer DIn("D", ir::Type::float32(), 2);
-  InputBuffer EIn("E", ir::Type::float32(), 2);
-  InputBuffer FIn("F", ir::Type::float32(), 2);
 
   RDom K1(0, static_cast<int>(N), "k1");
   Func E("E");
   E(J, Iv) = 0.0f;
   E(J, Iv) += AIn(K1, Iv) * BIn(J, K1);
+  InputBuffer EIn = I.addStage(E, {N, N});
 
   RDom K2(0, static_cast<int>(N), "k2");
   Func F("F");
   F(J, Iv) = 0.0f;
   F(J, Iv) += CmIn(K2, Iv) * DIn(J, K2);
+  InputBuffer FIn = I.addStage(F, {N, N});
 
   RDom K3(0, static_cast<int>(N), "k3");
   Func G("G");
   G(J, Iv) = 0.0f;
   G(J, Iv) += EIn(K3, Iv) * FIn(J, K3);
-
-  I.Stages = {E, F, G};
-  I.StageExtents = {{N, N}, {N, N}, {N, N}};
-  I.OutputName = "G";
+  I.addStage(G, {N, N});
   I.Work = 6.0 * static_cast<double>(N) * N * N;
-  I.FillExpected = [A, B, Cm, D, Want, N] {
+  I.Reference = [N](const BenchmarkInstance &In, const BufferRef &Want) {
     std::vector<float> TE(static_cast<size_t>(N * N));
     std::vector<float> TF(static_cast<size_t>(N * N));
-    const float *PA = A->data(), *PB = B->data(), *PC = Cm->data(),
-                *PD = D->data();
+    const float *PA = In.data<float>("A"), *PB = In.data<float>("B"),
+                *PC = In.data<float>("Cm"), *PD = In.data<float>("D");
     for (int64_t R = 0; R != N; ++R)
       for (int64_t C2 = 0; C2 != N; ++C2) {
         float AccE = 0.0f, AccF = 0.0f;
@@ -162,7 +121,7 @@ BenchmarkInstance make3mm(int64_t N) {
         TE[static_cast<size_t>(R * N + C2)] = AccE;
         TF[static_cast<size_t>(R * N + C2)] = AccF;
       }
-    float *PW = Want->data();
+    float *PW = Want.data<float>();
     for (int64_t R = 0; R != N; ++R)
       for (int64_t C2 = 0; C2 != N; ++C2) {
         float Acc = 0.0f;
@@ -179,29 +138,23 @@ BenchmarkInstance makeTrmm(int64_t N) {
   BenchmarkInstance I;
   I.Name = "trmm";
   const float Alpha = 1.1f;
-  Buffer<float> *A = addBuffer<float>(I, "A", {N, N}, 10);
-  Buffer<float> *B = addBuffer<float>(I, "B", {N, N}, 11);
-  addBuffer<float>(I, "Bout", {N, N}, 0);
-  Buffer<float> *E = addExpected<float>(I, {N, N});
+  InputBuffer AIn = I.declare<float>("A", {N, N}, 10);
+  InputBuffer BIn = I.declare<float>("B", {N, N}, 11);
 
   // Out-of-place triangular matmul: Bout = alpha * (A^T_lower * B + B),
   // with the strictly-lower-triangular part of A (k > i) contributing.
   Var J("j"), Iv("i");
   RDom K(0, static_cast<int>(N), "k");
   K.where(Expr(K) > Expr(Iv));
-  InputBuffer AIn("A", ir::Type::float32(), 2);
-  InputBuffer BIn("B", ir::Type::float32(), 2);
   Func Bout("Bout");
   Bout(J, Iv) = Alpha * BIn(J, Iv);
   Bout(J, Iv) += Alpha * AIn(Iv, K) * BIn(J, K);
-
-  I.Stages = {Bout};
-  I.StageExtents = {{N, N}};
-  I.OutputName = "Bout";
+  I.addStage(Bout, {N, N});
   I.Work = static_cast<double>(N) * N * N; // ~half the cube, x2 flops
-  I.FillExpected = [A, B, E, N, Alpha] {
-    const float *PA = A->data(), *PB = B->data();
-    float *PE = E->data();
+  I.Reference = [N, Alpha](const BenchmarkInstance &In,
+                          const BufferRef &Want) {
+    const float *PA = In.data<float>("A"), *PB = In.data<float>("B");
+    float *PE = Want.data<float>();
     for (int64_t Row = 0; Row != N; ++Row)
       for (int64_t Col = 0; Col != N; ++Col) {
         float Acc = PB[Row * N + Col];
@@ -217,26 +170,20 @@ BenchmarkInstance makeSyrk(int64_t N) {
   BenchmarkInstance I;
   I.Name = "syrk";
   const float Alpha = 1.3f, Beta = 0.7f;
-  Buffer<float> *A = addBuffer<float>(I, "A", {N, N}, 12);
-  Buffer<float> *Cin = addBuffer<float>(I, "Cin", {N, N}, 13);
-  addBuffer<float>(I, "C", {N, N}, 0);
-  Buffer<float> *E = addExpected<float>(I, {N, N});
+  InputBuffer AIn = I.declare<float>("A", {N, N}, 12);
+  InputBuffer CIn = I.declare<float>("Cin", {N, N}, 13);
 
   Var J("j"), Iv("i");
   RDom K(0, static_cast<int>(N), "k");
-  InputBuffer AIn("A", ir::Type::float32(), 2);
-  InputBuffer CIn("Cin", ir::Type::float32(), 2);
   Func C("C");
   C(J, Iv) = Beta * CIn(J, Iv);
   C(J, Iv) += Alpha * AIn(K, Iv) * AIn(K, J);
-
-  I.Stages = {C};
-  I.StageExtents = {{N, N}};
-  I.OutputName = "C";
+  I.addStage(C, {N, N});
   I.Work = 2.0 * static_cast<double>(N) * N * N;
-  I.FillExpected = [A, Cin, E, N, Alpha, Beta] {
-    const float *PA = A->data(), *PC = Cin->data();
-    float *PE = E->data();
+  I.Reference = [N, Alpha, Beta](const BenchmarkInstance &In,
+                                 const BufferRef &Want) {
+    const float *PA = In.data<float>("A"), *PC = In.data<float>("Cin");
+    float *PE = Want.data<float>();
     for (int64_t Row = 0; Row != N; ++Row)
       for (int64_t Col = 0; Col != N; ++Col) {
         float Acc = Beta * PC[Row * N + Col];
@@ -252,29 +199,23 @@ BenchmarkInstance makeSyr2k(int64_t N) {
   BenchmarkInstance I;
   I.Name = "syr2k";
   const float Alpha = 0.8f, Beta = 1.4f;
-  Buffer<float> *A = addBuffer<float>(I, "A", {N, N}, 14);
-  Buffer<float> *B = addBuffer<float>(I, "B", {N, N}, 15);
-  Buffer<float> *Cin = addBuffer<float>(I, "Cin", {N, N}, 16);
-  addBuffer<float>(I, "C", {N, N}, 0);
-  Buffer<float> *E = addExpected<float>(I, {N, N});
+  InputBuffer AIn = I.declare<float>("A", {N, N}, 14);
+  InputBuffer BIn = I.declare<float>("B", {N, N}, 15);
+  InputBuffer CIn = I.declare<float>("Cin", {N, N}, 16);
 
   Var J("j"), Iv("i");
   RDom K(0, static_cast<int>(N), "k");
-  InputBuffer AIn("A", ir::Type::float32(), 2);
-  InputBuffer BIn("B", ir::Type::float32(), 2);
-  InputBuffer CIn("Cin", ir::Type::float32(), 2);
   Func C("C");
   C(J, Iv) = Beta * CIn(J, Iv);
   C(J, Iv) +=
       Alpha * AIn(K, Iv) * BIn(K, J) + Alpha * BIn(K, Iv) * AIn(K, J);
-
-  I.Stages = {C};
-  I.StageExtents = {{N, N}};
-  I.OutputName = "C";
+  I.addStage(C, {N, N});
   I.Work = 4.0 * static_cast<double>(N) * N * N;
-  I.FillExpected = [A, B, Cin, E, N, Alpha, Beta] {
-    const float *PA = A->data(), *PB = B->data(), *PC = Cin->data();
-    float *PE = E->data();
+  I.Reference = [N, Alpha, Beta](const BenchmarkInstance &In,
+                                 const BufferRef &Want) {
+    const float *PA = In.data<float>("A"), *PB = In.data<float>("B"),
+                *PC = In.data<float>("Cin");
+    float *PE = Want.data<float>();
     for (int64_t Row = 0; Row != N; ++Row)
       for (int64_t Col = 0; Col != N; ++Col) {
         float Acc = Beta * PC[Row * N + Col];
@@ -291,26 +232,19 @@ BenchmarkInstance makeDoitgen(int64_t N) {
   BenchmarkInstance I;
   I.Name = "doitgen";
   // Out(p, q, r) = sum_s A(s, q, r) * C4(p, s).
-  Buffer<float> *A = addBuffer<float>(I, "A", {N, N, N}, 17);
-  Buffer<float> *C4 = addBuffer<float>(I, "C4", {N, N}, 18);
-  addBuffer<float>(I, "Out", {N, N, N}, 0);
-  Buffer<float> *E = addExpected<float>(I, {N, N, N});
+  InputBuffer AIn = I.declare<float>("A", {N, N, N}, 17);
+  InputBuffer C4In = I.declare<float>("C4", {N, N}, 18);
 
   Var P("p"), Q("q"), R("r");
   RDom S(0, static_cast<int>(N), "s");
-  InputBuffer AIn("A", ir::Type::float32(), 3);
-  InputBuffer C4In("C4", ir::Type::float32(), 2);
   Func Out("Out");
   Out(P, Q, R) = 0.0f;
   Out(P, Q, R) += AIn(S, Q, R) * C4In(P, S);
-
-  I.Stages = {Out};
-  I.StageExtents = {{N, N, N}};
-  I.OutputName = "Out";
+  I.addStage(Out, {N, N, N});
   I.Work = 2.0 * static_cast<double>(N) * N * N * N;
-  I.FillExpected = [A, C4, E, N] {
-    const float *PA = A->data(), *PC = C4->data();
-    float *PE = E->data();
+  I.Reference = [N](const BenchmarkInstance &In, const BufferRef &Want) {
+    const float *PA = In.data<float>("A"), *PC = In.data<float>("C4");
+    float *PE = Want.data<float>();
     for (int64_t R2 = 0; R2 != N; ++R2)
       for (int64_t Q2 = 0; Q2 != N; ++Q2)
         for (int64_t P2 = 0; P2 != N; ++P2) {
@@ -331,30 +265,23 @@ BenchmarkInstance makeConvLayer(int64_t Size) {
   const int64_t Ch = std::min<int64_t>(64, std::max<int64_t>(8, Size / 4));
   const int64_t K = Ch;
   const int64_t B = std::max<int64_t>(1, Size / 64);
-  Buffer<float> *In =
-      addBuffer<float>(I, "In", {W + 2, H + 2, Ch, B}, 19);
-  Buffer<float> *Wgt = addBuffer<float>(I, "Wgt", {3, 3, Ch, K}, 20);
-  addBuffer<float>(I, "Out", {W, H, K, B}, 0);
-  Buffer<float> *E = addExpected<float>(I, {W, H, K, B});
+  InputBuffer InB = I.declare<float>("In", {W + 2, H + 2, Ch, B}, 19);
+  InputBuffer WgtB = I.declare<float>("Wgt", {3, 3, Ch, K}, 20);
 
   Var X("x"), Y("y"), Kv("ko"), Bv("b");
   RDom R(std::vector<RVar>{RVar("rx", 0, 3), RVar("ry", 0, 3),
                            RVar("rc", 0, static_cast<int>(Ch))});
-  InputBuffer InB("In", ir::Type::float32(), 4);
-  InputBuffer WgtB("Wgt", ir::Type::float32(), 4);
   Func Out("Out");
   Out(X, Y, Kv, Bv) = 0.0f;
   Out(X, Y, Kv, Bv) += InB(Expr(X) + Expr(R[0]), Expr(Y) + Expr(R[1]),
                            R[2], Bv) *
                        WgtB(R[0], R[1], R[2], Kv);
-
-  I.Stages = {Out};
-  I.StageExtents = {{W, H, K, B}};
-  I.OutputName = "Out";
+  I.addStage(Out, {W, H, K, B});
   I.Work = 2.0 * 9.0 * static_cast<double>(Ch) * W * H * K * B;
-  I.FillExpected = [In, Wgt, E, W, H, Ch, K, B] {
-    const float *PI = In->data(), *PW = Wgt->data();
-    float *PE = E->data();
+  I.Reference = [W, H, Ch, K, B](const BenchmarkInstance &In,
+                                 const BufferRef &Want) {
+    const float *PI = In.data<float>("In"), *PW = In.data<float>("Wgt");
+    float *PE = Want.data<float>();
     int64_t IW = W + 2, IH = H + 2;
     for (int64_t B2 = 0; B2 != B; ++B2)
       for (int64_t K2 = 0; K2 != K; ++K2)
@@ -380,22 +307,16 @@ BenchmarkInstance makeConvLayer(int64_t Size) {
 BenchmarkInstance makeTranspose(int64_t N) {
   BenchmarkInstance I;
   I.Name = "tp";
-  Buffer<uint32_t> *A = addBuffer<uint32_t>(I, "A", {N, N}, 21);
-  addBuffer<uint32_t>(I, "Out", {N, N}, 0);
-  Buffer<uint32_t> *E = addExpected<uint32_t>(I, {N, N});
+  InputBuffer AIn = I.declare<uint32_t>("A", {N, N}, 21);
 
   Var X("x"), Y("y");
-  InputBuffer AIn("A", ir::Type::uint32(), 2);
   Func Out("Out");
   Out(X, Y) = AIn(Y, X);
-
-  I.Stages = {Out};
-  I.StageExtents = {{N, N}};
-  I.OutputName = "Out";
+  I.addStage(Out, {N, N});
   I.Work = static_cast<double>(N) * N;
-  I.FillExpected = [A, E, N] {
-    const uint32_t *PA = A->data();
-    uint32_t *PE = E->data();
+  I.Reference = [N](const BenchmarkInstance &In, const BufferRef &Want) {
+    const uint32_t *PA = In.data<uint32_t>("A");
+    uint32_t *PE = Want.data<uint32_t>();
     for (int64_t Y2 = 0; Y2 != N; ++Y2)
       for (int64_t X2 = 0; X2 != N; ++X2)
         PE[Y2 * N + X2] = PA[X2 * N + Y2];
@@ -406,25 +327,18 @@ BenchmarkInstance makeTranspose(int64_t N) {
 BenchmarkInstance makeTpm(int64_t N) {
   BenchmarkInstance I;
   I.Name = "tpm";
-  Buffer<uint32_t> *A = addBuffer<uint32_t>(I, "A", {N, N}, 22);
-  Buffer<uint32_t> *B = addBuffer<uint32_t>(I, "B", {N, N}, 23);
-  addBuffer<uint32_t>(I, "Out", {N, N}, 0);
-  Buffer<uint32_t> *E = addExpected<uint32_t>(I, {N, N});
+  InputBuffer AIn = I.declare<uint32_t>("A", {N, N}, 22);
+  InputBuffer BIn = I.declare<uint32_t>("B", {N, N}, 23);
 
   // Listing 2: out[y][x] = A[x][y] & B[y][x].
   Var X("x"), Y("y");
-  InputBuffer AIn("A", ir::Type::uint32(), 2);
-  InputBuffer BIn("B", ir::Type::uint32(), 2);
   Func Out("Out");
   Out(X, Y) = AIn(Y, X) & BIn(X, Y);
-
-  I.Stages = {Out};
-  I.StageExtents = {{N, N}};
-  I.OutputName = "Out";
+  I.addStage(Out, {N, N});
   I.Work = static_cast<double>(N) * N;
-  I.FillExpected = [A, B, E, N] {
-    const uint32_t *PA = A->data(), *PB = B->data();
-    uint32_t *PE = E->data();
+  I.Reference = [N](const BenchmarkInstance &In, const BufferRef &Want) {
+    const uint32_t *PA = In.data<uint32_t>("A"), *PB = In.data<uint32_t>("B");
+    uint32_t *PE = Want.data<uint32_t>();
     for (int64_t Y2 = 0; Y2 != N; ++Y2)
       for (int64_t X2 = 0; X2 != N; ++X2)
         PE[Y2 * N + X2] = PA[X2 * N + Y2] & PB[Y2 * N + X2];
@@ -435,22 +349,16 @@ BenchmarkInstance makeTpm(int64_t N) {
 BenchmarkInstance makeCopy(int64_t N) {
   BenchmarkInstance I;
   I.Name = "copy";
-  Buffer<uint32_t> *A = addBuffer<uint32_t>(I, "A", {N, N}, 24);
-  addBuffer<uint32_t>(I, "Out", {N, N}, 0);
-  Buffer<uint32_t> *E = addExpected<uint32_t>(I, {N, N});
+  InputBuffer AIn = I.declare<uint32_t>("A", {N, N}, 24);
 
   Var X("x"), Y("y");
-  InputBuffer AIn("A", ir::Type::uint32(), 2);
   Func Out("Out");
   Out(X, Y) = AIn(X, Y);
-
-  I.Stages = {Out};
-  I.StageExtents = {{N, N}};
-  I.OutputName = "Out";
+  I.addStage(Out, {N, N});
   I.Work = static_cast<double>(N) * N;
-  I.FillExpected = [A, E, N] {
-    const uint32_t *PA = A->data();
-    uint32_t *PE = E->data();
+  I.Reference = [N](const BenchmarkInstance &In, const BufferRef &Want) {
+    const uint32_t *PA = In.data<uint32_t>("A");
+    uint32_t *PE = Want.data<uint32_t>();
     std::copy(PA, PA + N * N, PE);
   };
   return I;
@@ -459,24 +367,17 @@ BenchmarkInstance makeCopy(int64_t N) {
 BenchmarkInstance makeMask(int64_t N) {
   BenchmarkInstance I;
   I.Name = "mask";
-  Buffer<uint32_t> *A = addBuffer<uint32_t>(I, "A", {N, N}, 25);
-  Buffer<uint32_t> *B = addBuffer<uint32_t>(I, "B", {N, N}, 26);
-  addBuffer<uint32_t>(I, "Out", {N, N}, 0);
-  Buffer<uint32_t> *E = addExpected<uint32_t>(I, {N, N});
+  InputBuffer AIn = I.declare<uint32_t>("A", {N, N}, 25);
+  InputBuffer BIn = I.declare<uint32_t>("B", {N, N}, 26);
 
   Var X("x"), Y("y");
-  InputBuffer AIn("A", ir::Type::uint32(), 2);
-  InputBuffer BIn("B", ir::Type::uint32(), 2);
   Func Out("Out");
   Out(X, Y) = AIn(X, Y) & BIn(X, Y);
-
-  I.Stages = {Out};
-  I.StageExtents = {{N, N}};
-  I.OutputName = "Out";
+  I.addStage(Out, {N, N});
   I.Work = static_cast<double>(N) * N;
-  I.FillExpected = [A, B, E, N] {
-    const uint32_t *PA = A->data(), *PB = B->data();
-    uint32_t *PE = E->data();
+  I.Reference = [N](const BenchmarkInstance &In, const BufferRef &Want) {
+    const uint32_t *PA = In.data<uint32_t>("A"), *PB = In.data<uint32_t>("B");
+    uint32_t *PE = Want.data<uint32_t>();
     for (int64_t Idx = 0; Idx != N * N; ++Idx)
       PE[Idx] = PA[Idx] & PB[Idx];
   };
@@ -514,19 +415,101 @@ const BenchmarkDef *ltp::findBenchmark(const std::string &Name) {
   return nullptr;
 }
 
+namespace {
+
+/// Allocates zeroed storage for the declaration \p Ref, fills it from
+/// \p Seed unless that is 0, and points Ref.Data at it.
+std::shared_ptr<void> bindStorage(BufferRef &Ref, uint32_t Seed) {
+  assert(!Ref.Data && "buffer is already materialized");
+  auto Bind = [&](auto Owned) -> std::shared_ptr<void> {
+    if (Seed != 0)
+      Owned->fillRandom(Seed);
+    Ref.Data = Owned->data();
+    return Owned;
+  };
+  if (Ref.ElemType == ir::Type::float32())
+    return Bind(std::make_shared<Buffer<float>>(Ref.Extents));
+  assert(Ref.ElemType == ir::Type::uint32() &&
+         "unsupported benchmark element type");
+  return Bind(std::make_shared<Buffer<uint32_t>>(Ref.Extents));
+}
+
+int64_t physicalMemoryBytes() {
+  long Pages = ::sysconf(_SC_PHYS_PAGES), PageBytes = ::sysconf(_SC_PAGESIZE);
+  if (Pages <= 0 || PageBytes <= 0)
+    return std::numeric_limits<int64_t>::max();
+  return saturatingMul(Pages, PageBytes);
+}
+
+} // namespace
+
+InputBuffer BenchmarkInstance::declare(const std::string &Name,
+                                       ir::Type ElemType,
+                                       std::vector<int64_t> Extents,
+                                       uint32_t Seed) {
+  const int Rank = static_cast<int>(Extents.size());
+  Buffers[Name] = BufferRef::declare(ElemType, std::move(Extents));
+  FillSeeds.emplace_back(Name, Seed);
+  return InputBuffer(Name, ElemType, Rank);
+}
+
+InputBuffer BenchmarkInstance::addStage(Func F,
+                                        std::vector<int64_t> Extents) {
+  InputBuffer Output = declare(F.name(), F.type(), Extents, 0);
+  OutputName = F.name();
+  Stages.push_back(std::move(F));
+  StageExtents.push_back(std::move(Extents));
+  return Output;
+}
+
+ErrorOr<BenchmarkInstance> ltp::materialize(BenchmarkInstance Shape) {
+  // Pin glibc's mmap threshold at its default so large buffers are always
+  // mapped and return their pages when freed; with the dynamic threshold
+  // freed buffers stay resident in the heap and peak RSS follows
+  // allocation order rather than the live footprint.
+  static const int PinnedMmapThreshold =
+      mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+  (void)PinnedMmapThreshold;
+  int64_t Footprint = 0;
+  for (const auto &Entry : Shape.Buffers)
+    if (__builtin_add_overflow(Footprint, Entry.second.sizeBytes(),
+                               &Footprint))
+      Footprint = std::numeric_limits<int64_t>::max();
+  const int64_t Physical = physicalMemoryBytes();
+  if (Footprint > Physical)
+    return ErrorOr<BenchmarkInstance>::makeError(strFormat(
+        "kernel '%s' needs %lld bytes of buffers, more than the %lld bytes "
+        "of physical memory",
+        Shape.Name.c_str(), static_cast<long long>(Footprint),
+        static_cast<long long>(Physical)));
+  for (const auto &[Name, Seed] : Shape.FillSeeds)
+    Shape.Storage.push_back(bindStorage(Shape.Buffers.at(Name), Seed));
+  return Shape;
+}
+
+BenchmarkInstance BenchmarkDef::Create(int64_t N) const {
+  ErrorOr<BenchmarkInstance> Instance = materialize(shape(N));
+  if (!Instance) {
+    std::fprintf(stderr, "fatal: %s\n", Instance.getError().c_str());
+    assert(false && "benchmark instance does not fit in memory");
+  }
+  return std::move(*Instance);
+}
+
 bool ltp::verifyOutput(const BenchmarkInstance &Instance) {
-  assert(Instance.FillExpected && "benchmark lacks a reference oracle");
-  Instance.FillExpected();
+  assert(Instance.Reference && "benchmark lacks a reference oracle");
   auto It = Instance.Buffers.find(Instance.OutputName);
   assert(It != Instance.Buffers.end() && "output buffer missing");
   const BufferRef &Out = It->second;
-  const BufferRef &Want = Instance.ExpectedRef;
-  assert(Out.numElements() == Want.numElements() &&
-         "output/expected shape mismatch");
+  assert(Out.Data && "verifying an instance that was never materialized");
+  BufferRef Want = Out;
+  Want.Data = nullptr;
+  std::shared_ptr<void> WantStorage = bindStorage(Want, 0);
+  Instance.Reference(Instance, Want);
 
   if (Out.ElemType == ir::Type::float32()) {
-    const float *PO = static_cast<const float *>(Out.Data);
-    const float *PW = static_cast<const float *>(Want.Data);
+    const float *PO = Out.data<float>();
+    const float *PW = Want.data<float>();
     for (int64_t Idx = 0; Idx != Out.numElements(); ++Idx) {
       double Tolerance = 1e-3 * (1.0 + std::fabs(PW[Idx]));
       if (std::fabs(PO[Idx] - PW[Idx]) > Tolerance)
@@ -534,14 +517,10 @@ bool ltp::verifyOutput(const BenchmarkInstance &Instance) {
     }
     return true;
   }
-  if (Out.ElemType == ir::Type::uint32()) {
-    const uint32_t *PO = static_cast<const uint32_t *>(Out.Data);
-    const uint32_t *PW = static_cast<const uint32_t *>(Want.Data);
-    for (int64_t Idx = 0; Idx != Out.numElements(); ++Idx)
-      if (PO[Idx] != PW[Idx])
-        return false;
-    return true;
-  }
-  assert(false && "unsupported output element type");
-  return false;
+  const uint32_t *PO = Out.data<uint32_t>();
+  const uint32_t *PW = Want.data<uint32_t>();
+  for (int64_t Idx = 0; Idx != Out.numElements(); ++Idx)
+    if (PO[Idx] != PW[Idx])
+      return false;
+  return true;
 }

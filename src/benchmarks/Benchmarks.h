@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The benchmark suite of Table 4 as DSL pipelines with input generators,
-/// native reference implementations (correctness oracles) and the
-/// paper's / container-scaled problem sizes:
+/// The benchmark suite of Table 4 as DSL pipelines with seeded buffer
+/// declarations, native reference implementations (correctness oracles)
+/// and the paper's / container-scaled problem sizes:
 ///
 ///   convlayer  3x3xCxC convolution layer        (temporal)
 ///   doitgen    multiresolution analysis kernel  (temporal)
@@ -29,18 +29,24 @@
 
 #include "lang/Func.h"
 #include "runtime/Buffer.h"
+#include "support/ErrorOr.h"
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ltp {
 
-/// A fully materialized benchmark: pipeline stages, bound buffers, and a
-/// reference oracle.
+/// One benchmark kernel. As a maker returns it, it is the kernel's shape:
+/// stages, extents and buffer declarations (BufferRefs with no data),
+/// which is all that planning, linting, lowering and code generation read.
+/// materialize() allocates and fills the declared buffers for the
+/// consumers that run or simulate the kernel.
 struct BenchmarkInstance {
   std::string Name;
   /// Pipeline stages in realization order (compute_root semantics: each
@@ -49,17 +55,53 @@ struct BenchmarkInstance {
   /// Output extents of each stage (dimension 0 first).
   std::vector<std::vector<int64_t>> StageExtents;
   /// All buffers by name: external inputs plus every stage output.
+  /// Declarations in a shape; bound to data once materialized.
   std::map<std::string, BufferRef> Buffers;
+  /// The fill seed of every declared buffer, in declaration order (0
+  /// leaves the buffer zeroed).
+  std::vector<std::pair<std::string, uint32_t>> FillSeeds;
   /// Name of the final output buffer.
   std::string OutputName;
-  /// Computes the expected output into ExpectedRef (native loops).
-  std::function<void()> FillExpected;
-  BufferRef ExpectedRef;
+  /// Reference oracle (native loops): reads the materialized inputs by
+  /// name and writes the expected output into the buffer it is handed,
+  /// which has the output buffer's declaration.
+  std::function<void(const BenchmarkInstance &, const BufferRef &)>
+      Reference;
   /// Floating-point (or element) operations per full run, for reporting.
   double Work = 0.0;
-  /// Keeps the typed buffers alive.
+  /// Keeps the allocated buffers alive (empty in a shape).
   std::vector<std::shared_ptr<void>> Storage;
+
+  /// Declares buffer \p Name with the view a Buffer<T> of \p Extents
+  /// gets, filled from \p Seed when materialized; returns the handle
+  /// stages read it through.
+  template <typename T>
+  InputBuffer declare(const std::string &Name, std::vector<int64_t> Extents,
+                      uint32_t Seed) {
+    return declare(Name, Buffer<T>::elemType(), std::move(Extents), Seed);
+  }
+  InputBuffer declare(const std::string &Name, ir::Type ElemType,
+                      std::vector<int64_t> Extents, uint32_t Seed);
+
+  /// Appends stage \p F, realized over \p Extents into a zeroed buffer of
+  /// its name that becomes the output; returns the handle later stages
+  /// read it through.
+  InputBuffer addStage(Func F, std::vector<int64_t> Extents);
+
+  /// The data of materialized buffer \p Name.
+  template <typename T> const T *data(const std::string &Name) const {
+    return static_cast<const T *>(Buffers.at(Name).Data);
+  }
 };
+
+/// Allocates and fills every buffer \p Shape declares, from the declared
+/// seeds, so every call yields the same data. Fails without allocating
+/// when the buffers would exceed the host's physical memory.
+ErrorOr<BenchmarkInstance> materialize(BenchmarkInstance Shape);
+
+/// Largest problem size a benchmark accepts: the makers build reduction
+/// domains with `int` extents.
+constexpr int64_t MaxBenchmarkSize = std::numeric_limits<int>::max();
 
 /// Static description of one benchmark.
 struct BenchmarkDef {
@@ -69,8 +111,13 @@ struct BenchmarkDef {
   int64_t DefaultSize;
   /// The paper's Table-4 problem size.
   int64_t PaperSize;
-  /// Materializes an instance at the given size.
-  std::function<BenchmarkInstance(int64_t)> Create;
+  /// The maker: builds the kernel's shape at a size.
+  BenchmarkInstance (*Make)(int64_t);
+
+  /// The kernel's shape at size \p N (no buffer data).
+  BenchmarkInstance shape(int64_t N) const { return Make(N); }
+  /// materialize(shape(N)); aborts when that fails.
+  BenchmarkInstance Create(int64_t N) const;
 };
 
 /// All Table-4 benchmarks, in the paper's order.
@@ -84,9 +131,10 @@ const std::vector<BenchmarkDef> &extendedBenchmarks();
 /// Finds a benchmark by name in either suite; null when unknown.
 const BenchmarkDef *findBenchmark(const std::string &Name);
 
-/// Compares the final output against the reference oracle (which is
-/// computed on demand). Returns true when every element matches within a
-/// type-appropriate tolerance.
+/// Compares the final output of a materialized instance against the
+/// reference oracle, computed on demand into a buffer allocated here.
+/// Returns true when every element matches within a type-appropriate
+/// tolerance.
 bool verifyOutput(const BenchmarkInstance &Instance);
 
 } // namespace ltp

@@ -20,64 +20,34 @@
 
 #include "benchmarks/Benchmarks.h"
 
-#include <cassert>
-
 using namespace ltp;
 
 namespace {
-
-template <typename T>
-Buffer<T> *addBuffer(BenchmarkInstance &Instance, const std::string &Name,
-                     std::vector<int64_t> Extents, uint32_t Seed) {
-  auto Owned = std::make_shared<Buffer<T>>(std::move(Extents));
-  if (Seed != 0)
-    Owned->fillRandom(Seed);
-  Instance.Buffers[Name] = Owned->ref();
-  Instance.Storage.push_back(Owned);
-  return Owned.get();
-}
-
-template <typename T>
-Buffer<T> *addExpected(BenchmarkInstance &Instance,
-                       std::vector<int64_t> Extents) {
-  auto Owned = std::make_shared<Buffer<T>>(std::move(Extents));
-  Instance.ExpectedRef = Owned->ref();
-  Instance.Storage.push_back(Owned);
-  return Owned.get();
-}
 
 BenchmarkInstance makeAtax(int64_t N) {
   BenchmarkInstance I;
   I.Name = "atax";
   // tmp = A x;  y = A^T tmp.  A(j, i) stores row i contiguously in j.
-  Buffer<float> *A = addBuffer<float>(I, "A", {N, N}, 31);
-  Buffer<float> *X = addBuffer<float>(I, "x", {N}, 32);
-  addBuffer<float>(I, "tmp", {N}, 0);
-  addBuffer<float>(I, "y", {N}, 0);
-  Buffer<float> *E = addExpected<float>(I, {N});
+  InputBuffer AIn = I.declare<float>("A", {N, N}, 31);
+  InputBuffer XIn = I.declare<float>("x", {N}, 32);
 
   Var Iv("i"), Jv("j");
-  InputBuffer AIn("A", ir::Type::float32(), 2);
-  InputBuffer XIn("x", ir::Type::float32(), 1);
-  InputBuffer TmpIn("tmp", ir::Type::float32(), 1);
 
   RDom J(0, static_cast<int>(N), "jr");
   Func Tmp("tmp");
   Tmp(Iv) = 0.0f;
   Tmp(Iv) += AIn(J, Iv) * XIn(J);
+  InputBuffer TmpIn = I.addStage(Tmp, {N});
 
   RDom Ir(0, static_cast<int>(N), "ir");
   Func Y("y");
   Y(Jv) = 0.0f;
   Y(Jv) += AIn(Jv, Ir) * TmpIn(Ir);
-
-  I.Stages = {Tmp, Y};
-  I.StageExtents = {{N}, {N}};
-  I.OutputName = "y";
+  I.addStage(Y, {N});
   I.Work = 4.0 * static_cast<double>(N) * N;
-  I.FillExpected = [A, X, E, N] {
-    const float *PA = A->data(), *PX = X->data();
-    float *PE = E->data();
+  I.Reference = [N](const BenchmarkInstance &In, const BufferRef &Want) {
+    const float *PA = In.data<float>("A"), *PX = In.data<float>("x");
+    float *PE = Want.data<float>();
     std::vector<float> Tmp(static_cast<size_t>(N), 0.0f);
     for (int64_t R = 0; R != N; ++R) {
       float Acc = 0.0f;
@@ -101,35 +71,27 @@ BenchmarkInstance makeBicg(int64_t N) {
   // s = r A (column sums), q = A p (row sums); output is q, s is a second
   // realized stage whose correctness the q oracle implies only partially,
   // so the oracle checks q and the s stage feeds nothing.
-  Buffer<float> *A = addBuffer<float>(I, "A", {N, N}, 41);
-  Buffer<float> *R = addBuffer<float>(I, "r", {N}, 42);
-  Buffer<float> *P = addBuffer<float>(I, "p", {N}, 43);
-  addBuffer<float>(I, "s", {N}, 0);
-  addBuffer<float>(I, "q", {N}, 0);
-  Buffer<float> *E = addExpected<float>(I, {N});
+  InputBuffer AIn = I.declare<float>("A", {N, N}, 41);
+  InputBuffer RIn = I.declare<float>("r", {N}, 42);
+  InputBuffer PIn = I.declare<float>("p", {N}, 43);
 
   Var Iv("i"), Jv("j");
-  InputBuffer AIn("A", ir::Type::float32(), 2);
-  InputBuffer RIn("r", ir::Type::float32(), 1);
-  InputBuffer PIn("p", ir::Type::float32(), 1);
 
   RDom Ir(0, static_cast<int>(N), "ir");
   Func S("s");
   S(Jv) = 0.0f;
   S(Jv) += RIn(Ir) * AIn(Jv, Ir);
+  I.addStage(S, {N});
 
   RDom Jr(0, static_cast<int>(N), "jr");
   Func Q("q");
   Q(Iv) = 0.0f;
   Q(Iv) += AIn(Jr, Iv) * PIn(Jr);
-
-  I.Stages = {S, Q};
-  I.StageExtents = {{N}, {N}};
-  I.OutputName = "q";
+  I.addStage(Q, {N});
   I.Work = 4.0 * static_cast<double>(N) * N;
-  I.FillExpected = [A, P, E, N] {
-    const float *PA = A->data(), *PP = P->data();
-    float *PE = E->data();
+  I.Reference = [N](const BenchmarkInstance &In, const BufferRef &Want) {
+    const float *PA = In.data<float>("A"), *PP = In.data<float>("p");
+    float *PE = Want.data<float>();
     for (int64_t Row = 0; Row != N; ++Row) {
       float Acc = 0.0f;
       for (int64_t C = 0; C != N; ++C)
@@ -137,36 +99,28 @@ BenchmarkInstance makeBicg(int64_t N) {
       PE[Row] = Acc;
     }
   };
-  (void)R;
   return I;
 }
 
 BenchmarkInstance makeMvt(int64_t N) {
   BenchmarkInstance I;
   I.Name = "mvt";
-  Buffer<float> *A = addBuffer<float>(I, "A", {N, N}, 51);
-  Buffer<float> *Y1 = addBuffer<float>(I, "y1", {N}, 52);
-  Buffer<float> *X1In = addBuffer<float>(I, "x1in", {N}, 54);
-  addBuffer<float>(I, "x1", {N}, 0);
-  Buffer<float> *E = addExpected<float>(I, {N});
+  InputBuffer AIn = I.declare<float>("A", {N, N}, 51);
+  InputBuffer Y1In = I.declare<float>("y1", {N}, 52);
+  InputBuffer X1 = I.declare<float>("x1in", {N}, 54);
 
   // x1 = x1in + A y1.
   Var Iv("i");
-  InputBuffer AIn("A", ir::Type::float32(), 2);
-  InputBuffer Y1In("y1", ir::Type::float32(), 1);
-  InputBuffer X1("x1in", ir::Type::float32(), 1);
   RDom J(0, static_cast<int>(N), "jr");
   Func Out("x1");
   Out(Iv) = X1(Iv);
   Out(Iv) += AIn(J, Iv) * Y1In(J);
-
-  I.Stages = {Out};
-  I.StageExtents = {{N}};
-  I.OutputName = "x1";
+  I.addStage(Out, {N});
   I.Work = 2.0 * static_cast<double>(N) * N;
-  I.FillExpected = [A, Y1, X1In, E, N] {
-    const float *PA = A->data(), *PY = Y1->data(), *PX = X1In->data();
-    float *PE = E->data();
+  I.Reference = [N](const BenchmarkInstance &In, const BufferRef &Want) {
+    const float *PA = In.data<float>("A"), *PY = In.data<float>("y1"),
+                *PX = In.data<float>("x1in");
+    float *PE = Want.data<float>();
     for (int64_t Row = 0; Row != N; ++Row) {
       float Acc = PX[Row];
       for (int64_t C = 0; C != N; ++C)
@@ -181,66 +135,55 @@ BenchmarkInstance makeGemver(int64_t N) {
   BenchmarkInstance I;
   I.Name = "gemver";
   const float Alpha = 1.2f, Beta = 1.1f;
-  Buffer<float> *A = addBuffer<float>(I, "A", {N, N}, 61);
-  Buffer<float> *U1 = addBuffer<float>(I, "u1", {N}, 62);
-  Buffer<float> *V1 = addBuffer<float>(I, "v1", {N}, 63);
-  Buffer<float> *U2 = addBuffer<float>(I, "u2", {N}, 64);
-  Buffer<float> *V2 = addBuffer<float>(I, "v2", {N}, 65);
-  Buffer<float> *Y = addBuffer<float>(I, "y", {N}, 66);
-  Buffer<float> *Z = addBuffer<float>(I, "z", {N}, 67);
-  addBuffer<float>(I, "Ah", {N, N}, 0);
-  addBuffer<float>(I, "x", {N}, 0);
-  addBuffer<float>(I, "w", {N}, 0);
-  Buffer<float> *E = addExpected<float>(I, {N});
+  InputBuffer AIn = I.declare<float>("A", {N, N}, 61);
+  InputBuffer U1In = I.declare<float>("u1", {N}, 62);
+  InputBuffer V1In = I.declare<float>("v1", {N}, 63);
+  InputBuffer U2In = I.declare<float>("u2", {N}, 64);
+  InputBuffer V2In = I.declare<float>("v2", {N}, 65);
+  InputBuffer YIn = I.declare<float>("y", {N}, 66);
+  InputBuffer ZIn = I.declare<float>("z", {N}, 67);
 
   Var Iv("i"), Jv("j");
-  InputBuffer AIn("A", ir::Type::float32(), 2);
-  InputBuffer U1In("u1", ir::Type::float32(), 1);
-  InputBuffer V1In("v1", ir::Type::float32(), 1);
-  InputBuffer U2In("u2", ir::Type::float32(), 1);
-  InputBuffer V2In("v2", ir::Type::float32(), 1);
-  InputBuffer YIn("y", ir::Type::float32(), 1);
-  InputBuffer ZIn("z", ir::Type::float32(), 1);
-  InputBuffer AhIn("Ah", ir::Type::float32(), 2);
-  InputBuffer XIn("x", ir::Type::float32(), 1);
 
   // Stage 1: rank-2 update; same index variables on both sides, no
   // transposition -> NoTransform (+NTI candidate).
   Func Ah("Ah");
   Ah(Jv, Iv) = AIn(Jv, Iv) + U1In(Iv) * V1In(Jv) + U2In(Iv) * V2In(Jv);
+  InputBuffer AhIn = I.addStage(Ah, {N, N});
 
   // Stage 2: x = beta * Ah^T y + z.
   RDom Jr(0, static_cast<int>(N), "jr2");
   Func X("x");
   X(Iv) = ZIn(Iv);
   X(Iv) += Beta * AhIn(Iv, Jr) * YIn(Jr);
+  InputBuffer XIn = I.addStage(X, {N});
 
   // Stage 3: w = alpha * Ah x.
   RDom Jr3(0, static_cast<int>(N), "jr3");
   Func W("w");
   W(Iv) = 0.0f;
   W(Iv) += Alpha * AhIn(Jr3, Iv) * XIn(Jr3);
-
-  I.Stages = {Ah, X, W};
-  I.StageExtents = {{N, N}, {N}, {N}};
-  I.OutputName = "w";
+  I.addStage(W, {N});
   I.Work = 2.0 * static_cast<double>(N) * N * 3.0;
-  I.FillExpected = [=] {
-    const float *PA = A->data();
+  I.Reference = [N, Alpha, Beta](const BenchmarkInstance &In,
+                                 const BufferRef &Want) {
+    const float *PA = In.data<float>("A"), *U1 = In.data<float>("u1"),
+                *V1 = In.data<float>("v1"), *U2 = In.data<float>("u2"),
+                *V2 = In.data<float>("v2"), *Y = In.data<float>("y"),
+                *Z = In.data<float>("z");
     std::vector<float> AH(static_cast<size_t>(N * N));
     for (int64_t R = 0; R != N; ++R)
       for (int64_t C = 0; C != N; ++C)
         AH[static_cast<size_t>(R * N + C)] =
-            PA[R * N + C] + U1->data()[R] * V1->data()[C] +
-            U2->data()[R] * V2->data()[C];
+            PA[R * N + C] + U1[R] * V1[C] + U2[R] * V2[C];
     std::vector<float> XV(static_cast<size_t>(N));
     for (int64_t C = 0; C != N; ++C) {
-      float Acc = Z->data()[C];
+      float Acc = Z[C];
       for (int64_t R = 0; R != N; ++R)
-        Acc += Beta * AH[static_cast<size_t>(R * N + C)] * Y->data()[R];
+        Acc += Beta * AH[static_cast<size_t>(R * N + C)] * Y[R];
       XV[static_cast<size_t>(C)] = Acc;
     }
-    float *PE = E->data();
+    float *PE = Want.data<float>();
     for (int64_t R = 0; R != N; ++R) {
       float Acc = 0.0f;
       for (int64_t C = 0; C != N; ++C)
@@ -256,26 +199,20 @@ BenchmarkInstance makeJacobi2d(int64_t N) {
   BenchmarkInstance I;
   I.Name = "jacobi2d";
   // One out-of-place 5-point sweep over a padded grid.
-  Buffer<float> *In = addBuffer<float>(I, "In", {N + 2, N + 2}, 71);
-  addBuffer<float>(I, "Out", {N, N}, 0);
-  Buffer<float> *E = addExpected<float>(I, {N, N});
+  InputBuffer InB = I.declare<float>("In", {N + 2, N + 2}, 71);
 
   Var X("x"), Y("y");
-  InputBuffer InB("In", ir::Type::float32(), 2);
   Func Out("Out");
   Out(X, Y) = 0.2f * (InB(Expr(X) + 1, Expr(Y) + 1) +
                       InB(Expr(X), Expr(Y) + 1) +
                       InB(Expr(X) + 2, Expr(Y) + 1) +
                       InB(Expr(X) + 1, Expr(Y)) +
                       InB(Expr(X) + 1, Expr(Y) + 2));
-
-  I.Stages = {Out};
-  I.StageExtents = {{N, N}};
-  I.OutputName = "Out";
+  I.addStage(Out, {N, N});
   I.Work = 5.0 * static_cast<double>(N) * N;
-  I.FillExpected = [In, E, N] {
-    const float *PI = In->data();
-    float *PE = E->data();
+  I.Reference = [N](const BenchmarkInstance &In, const BufferRef &Want) {
+    const float *PI = In.data<float>("In");
+    float *PE = Want.data<float>();
     int64_t W = N + 2;
     for (int64_t Y2 = 0; Y2 != N; ++Y2)
       for (int64_t X2 = 0; X2 != N; ++X2)

@@ -93,16 +93,28 @@ StagePlan ltp::planStage(const Func &F,
     break;
   }
   case StatementClass::SpatialReuse: {
+    std::optional<SpatialSchedule> Tiled;
     if (Plan.Info.Loops.size() == 2) {
       Timer Phase;
-      Plan.Kind = StagePlan::Mode::Spatial;
-      Plan.Spatial = optimizeSpatial(Plan.Info, Plan.Class, Arch);
+      Tiled = optimizeSpatial(Plan.Info, Plan.Class, Arch);
       Plan.SpatialMillis = Phase.elapsedMillis();
+      if (!Tiled && obs::explainEnabled()) {
+        obs::CandidateRecord R;
+        R.Candidate = "spatial tiling";
+        R.Reason = "no tile meets the working-set and parallelism "
+                   "constraints";
+        obs::recordCandidate(std::move(R));
+      }
+    }
+    if (Tiled) {
+      Plan.Kind = StagePlan::Mode::Spatial;
+      Plan.Spatial = *Tiled;
       Plan.Description =
           std::string("spatial: ") + describeSpatialSchedule(Plan.Spatial);
     } else {
-      // The spatial model covers 2-D statements; higher-rank transposed
-      // statements fall back to the plain treatment.
+      // The spatial model covers 2-D statements with a feasible tile;
+      // higher-rank transposed statements, and arrays too small to tile,
+      // fall back to the plain treatment.
       Plan.Kind = StagePlan::Mode::ParVec;
       Plan.ComputeParVec = planParVec(Plan.Info, Arch);
       Plan.Description = "spatial(fallback): parallel+vectorize";

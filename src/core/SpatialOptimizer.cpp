@@ -13,9 +13,9 @@
 
 using namespace ltp;
 
-SpatialSchedule ltp::optimizeSpatial(const StageAccessInfo &Info,
-                                     const Classification &C,
-                                     const ArchParams &Arch) {
+std::optional<SpatialSchedule>
+ltp::optimizeSpatial(const StageAccessInfo &Info, const Classification &C,
+                     const ArchParams &Arch) {
   obs::ScopedSpan Span("opt.spatial");
   assert(!C.TransposedInputs.empty() &&
          "spatial optimizer requires a transposed input");
@@ -139,7 +139,8 @@ SpatialSchedule ltp::optimizeSpatial(const StageAccessInfo &Info,
         break;
     }
   }
-  assert(Best.Cost >= 0.0 && "no feasible spatial tiling found");
+  if (Best.Cost < 0.0)
+    return std::nullopt;
 
   Best.Parallel = true;
   if (Arch.VectorWidth > 1 && Best.TileWidth >= Arch.VectorWidth)

@@ -24,6 +24,7 @@
 #include "core/Classifier.h"
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 namespace ltp {
@@ -50,10 +51,12 @@ struct SpatialSchedule {
 
 /// Runs Algorithm 3. The stage must be two-dimensional with at least one
 /// transposed input (as detected by \p C). The Algorithm 1 tile-height
-/// bound takes the closed form, with a counted emulator fallback.
-SpatialSchedule optimizeSpatial(const StageAccessInfo &Info,
-                                const Classification &C,
-                                const ArchParams &Arch);
+/// bound takes the closed form, with a counted emulator fallback. Returns
+/// nothing when no tile meets the working-set and parallelism
+/// constraints (arrays too small to give every thread a row of tiles).
+std::optional<SpatialSchedule> optimizeSpatial(const StageAccessInfo &Info,
+                                               const Classification &C,
+                                               const ArchParams &Arch);
 
 /// Applies \p Schedule to stage \p StageIndex of \p F.
 void applySpatialSchedule(Func &F, int StageIndex,

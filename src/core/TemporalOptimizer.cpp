@@ -2,6 +2,7 @@
 
 #include "core/TemporalOptimizer.h"
 
+#include "analysis/IRVerify.h"
 #include "model/CacheEmu.h"
 #include "model/NestScorer.h"
 #include "model/TileBound.h"
@@ -374,8 +375,11 @@ TemporalSchedule ltp::optimizeTemporal(const StageAccessInfo &Info,
                             Best.IntraOrder.end());
       Best.IntraOrder.push_back(Best.ParallelVar);
     }
+    // A column beyond the backend's vector-loop limit stays scalar.
     if (Arch.VectorWidth > 1 &&
-        Best.Tiles.at(Column) >= Arch.VectorWidth) {
+        Best.Tiles.at(Column) >= Arch.VectorWidth &&
+        Best.Tiles.at(Column) <=
+            analysis::IRVerifyOptions().MaxVectorExtent) {
       Best.VectorVar = Column;
       Best.VectorWidth = Arch.VectorWidth;
     }

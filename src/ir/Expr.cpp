@@ -75,9 +75,10 @@ ExprPtr FloatImm::make(double Value, Type T) {
   return ExprPtr(new FloatImm(Value, T));
 }
 
-ExprPtr VarRef::make(const std::string &Name, Type T) {
+ExprPtr VarRef::make(const std::string &Name, Type T,
+                     std::shared_ptr<const RDomState> Domain) {
   assert(!Name.empty() && "variable reference requires a name");
-  return ExprPtr(new VarRef(Name, T));
+  return ExprPtr(new VarRef(Name, T, std::move(Domain)));
 }
 
 ExprPtr Load::make(const std::string &BufferName, std::vector<ExprPtr> Indices,

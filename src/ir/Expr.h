@@ -30,6 +30,9 @@
 #include <vector>
 
 namespace ltp {
+
+struct RDomState;
+
 namespace ir {
 
 /// Discriminator for expression nodes.
@@ -121,12 +124,19 @@ private:
 class VarRef : public BaseExprNode {
 public:
   std::string Name;
+  /// The reduction domain a front-end reduction variable belongs to
+  /// (null for every other variable). Update definitions read it to
+  /// create the reduction loops; the IR passes ignore it.
+  std::shared_ptr<const RDomState> Domain;
 
-  static ExprPtr make(const std::string &Name, Type T = Type::int32());
+  static ExprPtr make(const std::string &Name, Type T = Type::int32(),
+                      std::shared_ptr<const RDomState> Domain = nullptr);
 
 private:
-  VarRef(const std::string &Name, Type T)
-      : BaseExprNode(ExprKind::VarRef, T), Name(Name) {}
+  VarRef(const std::string &Name, Type T,
+         std::shared_ptr<const RDomState> Domain)
+      : BaseExprNode(ExprKind::VarRef, T), Name(Name),
+        Domain(std::move(Domain)) {}
 };
 
 /// Multi-dimensional load from a named buffer. Index 0 addresses the

@@ -12,42 +12,36 @@
 using namespace ltp;
 
 //===----------------------------------------------------------------------===//
-// Reduction-variable registry
+// Reduction domains
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-struct RVarBinding {
-  std::weak_ptr<RDomState> State;
-  size_t DimIndex = 0;
-};
+/// Drops the domain from references to the variables of \p Self, so a
+/// predicate stored in its own domain does not keep that domain alive.
+class DropSelfReferences : public ir::IRMutator {
+public:
+  explicit DropSelfReferences(const RDomState *Self) : Self(Self) {}
 
-std::map<std::string, RVarBinding> &rvarRegistry() {
-  // Per thread: a kernel is built on one thread, concurrent ones reuse "k".
-  thread_local std::map<std::string, RVarBinding> Registry;
-  return Registry;
-}
+protected:
+  ir::ExprPtr mutate(const ir::VarRef *Node,
+                     const ir::ExprPtr &Original) override {
+    if (Node->Domain.get() != Self)
+      return Original;
+    return ir::VarRef::make(Node->Name, Node->type());
+  }
+
+private:
+  const RDomState *Self;
+};
 
 } // namespace
 
-void ltp::registerRDom(const std::shared_ptr<RDomState> &State) {
-  for (size_t D = 0; D != State->Vars.size(); ++D) {
-    assert(!State->Vars[D].name().empty() &&
-           "reduction variable requires a name");
-    rvarRegistry()[State->Vars[D].name()] = RVarBinding{State, D};
-  }
-}
-
-std::shared_ptr<RDomState> ltp::lookupRVar(const std::string &Name,
-                                           size_t &DimIndex) {
-  auto It = rvarRegistry().find(Name);
-  if (It == rvarRegistry().end())
-    return nullptr;
-  std::shared_ptr<RDomState> State = It->second.State.lock();
-  if (!State)
-    return nullptr;
-  DimIndex = It->second.DimIndex;
-  return State;
+void RDom::where(Expr Predicate) {
+  assert(Predicate.defined() && "where predicate must be defined");
+  assert(Predicate.type().isBool() && "where predicate must be boolean");
+  State->Predicates.push_back(
+      DropSelfReferences(State.get()).mutateExpr(Predicate.node()));
 }
 
 //===----------------------------------------------------------------------===//
@@ -72,23 +66,24 @@ struct FuncContents {
 
 namespace {
 
-/// Collects every variable name referenced in an expression tree.
+/// Collects the variable names an expression tree references and, in
+/// order of first reference, the reduction domains they belong to.
 class VarCollector : public ir::IRVisitor {
 public:
   std::vector<std::string> Names;
+  std::vector<std::shared_ptr<const RDomState>> Domains;
+
+  void collect(const Expr &E) { visitExpr(E.node()); }
 
 protected:
   void visit(const ir::VarRef *Node) override {
     if (std::find(Names.begin(), Names.end(), Node->Name) == Names.end())
       Names.push_back(Node->Name);
+    if (Node->Domain && std::find(Domains.begin(), Domains.end(),
+                                  Node->Domain) == Domains.end())
+      Domains.push_back(Node->Domain);
   }
 };
-
-std::vector<std::string> collectVars(const Expr &E) {
-  VarCollector C;
-  C.visitExpr(E.node());
-  return C.Names;
-}
 
 } // namespace
 
@@ -200,10 +195,8 @@ Stage FuncRef::operator=(Expr Value) {
   for (const Expr &E : Indices) {
     const ir::VarRef *V = ir::exprDynAs<ir::VarRef>(E.node());
     assert(V && "pure definition indices must be plain variables");
-    size_t Dim = 0;
-    assert(!lookupRVar(V->Name, Dim) &&
+    assert(!V->Domain &&
            "pure definition indices must not be reduction variables");
-    (void)Dim;
     assert(std::find(Args.begin(), Args.end(), V->Name) == Args.end() &&
            "pure definition indices must be distinct variables");
     Args.push_back(V->Name);
@@ -239,34 +232,23 @@ Stage FuncRef::defineUpdate(Expr Value) {
   Def.Indices = Indices;
   Def.Value = std::move(Value);
 
-  // Resolve the reduction variables referenced by the definition, in
+  // Create loops for the reduction domains the definition references, in
   // domain order (dimension 0 first => innermost reduction loop).
-  std::vector<std::string> Referenced;
+  VarCollector Referenced;
   for (const Expr &E : Indices)
-    for (const std::string &Name : collectVars(E))
-      Referenced.push_back(Name);
-  for (const std::string &Name : collectVars(Def.Value))
-    Referenced.push_back(Name);
-
-  std::vector<std::shared_ptr<RDomState>> States;
-  for (const std::string &Name : Referenced) {
-    size_t Dim = 0;
-    std::shared_ptr<RDomState> State = lookupRVar(Name, Dim);
-    if (!State)
-      continue;
-    if (std::find(States.begin(), States.end(), State) == States.end())
-      States.push_back(State);
-  }
-  for (const std::shared_ptr<RDomState> &State : States) {
+    Referenced.collect(E);
+  Referenced.collect(Def.Value);
+  for (size_t D = 0; D != Referenced.Domains.size(); ++D) {
+    // Copied: collecting a predicate may grow the list.
+    std::shared_ptr<const RDomState> State = Referenced.Domains[D];
     // A predicate may reference domain variables the value itself does
     // not; they still need loops, or the lowered guard would read an
     // unbound variable.
     for (const Expr &Pred : State->Predicates)
-      for (const std::string &Name : collectVars(Pred))
-        Referenced.push_back(Name);
+      Referenced.collect(Pred);
     for (const RVar &V : State->Vars) {
-      bool Used = std::find(Referenced.begin(), Referenced.end(),
-                            V.name()) != Referenced.end();
+      bool Used = std::find(Referenced.Names.begin(), Referenced.Names.end(),
+                            V.name()) != Referenced.Names.end();
       if (Used)
         Def.RVars.push_back(
             ReductionVarInfo{V.name(), V.minExpr(), V.extentExpr()});

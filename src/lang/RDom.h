@@ -11,10 +11,13 @@
 /// triangular iteration spaces (trmm, syrk) can reference pure variables;
 /// an optional `where` predicate restricts the domain further.
 ///
-/// Reduction variables are resolved by name when an update definition is
-/// created: the RDom registers its variables in a process-wide registry
-/// that the definition scanner consults (see Func.cpp). `where` predicates
-/// must therefore be added before the update definition that uses them.
+/// Reduction variables bind by value, as Halide's
+/// `Variable::reduction_domain` does: an RVar turned into an Expr yields a
+/// variable reference that carries its RDom's shared state, and an update
+/// definition creates loops for exactly the domains its expressions
+/// reference. Names only label the loops, so two live RDoms may share a
+/// name. `where` predicates must be added before the update definition
+/// that uses them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,7 +33,11 @@
 
 namespace ltp {
 
-/// One reduction variable: a name plus min/extent expressions.
+struct RDomState;
+
+/// One reduction variable: a name plus min/extent expressions. The copy
+/// an RDom holds also knows its domain (weakly: the domain owns its
+/// variables).
 class RVar {
 public:
   RVar() = default;
@@ -42,34 +49,27 @@ public:
   const Expr &minExpr() const { return MinExpr; }
   const Expr &extentExpr() const { return ExtentExpr; }
 
-  /// Implicit conversion for use inside index expressions.
+  /// Implicit conversion for use inside index expressions; the reference
+  /// carries the domain.
   operator Expr() const {
-    return Expr(ir::VarRef::make(Name, ir::Type::int32()));
+    return Expr(ir::VarRef::make(Name, ir::Type::int32(), Domain.lock()));
   }
 
 private:
+  friend class RDom;
+
   std::string Name;
   Expr MinExpr;
   Expr ExtentExpr;
+  std::weak_ptr<const RDomState> Domain;
 };
 
-/// Shared state of one reduction domain; referenced by the registry that
-/// resolves reduction variables at definition time.
+/// Shared state of one reduction domain; reduction-variable references
+/// point at it.
 struct RDomState {
   std::vector<RVar> Vars;
   std::vector<Expr> Predicates;
 };
-
-/// Registers \p State's variables so update definitions can resolve them
-/// by name. Re-registering a name replaces the previous binding (fresh
-/// RDoms commonly reuse short names like "k" across independent kernels).
-void registerRDom(const std::shared_ptr<RDomState> &State);
-
-/// Looks up the reduction-variable binding for \p Name; returns the owning
-/// state and sets \p DimIndex, or nullptr when \p Name is not a reduction
-/// variable.
-std::shared_ptr<RDomState> lookupRVar(const std::string &Name,
-                                      size_t &DimIndex);
 
 /// A (possibly multi-dimensional) reduction domain.
 class RDom {
@@ -79,7 +79,7 @@ public:
       : State(std::make_shared<RDomState>()) {
     State->Vars.emplace_back(std::move(Name), std::move(Min),
                              std::move(Extent));
-    registerRDom(State);
+    bindVars();
   }
 
   /// Multi-dimensional domain from explicit RVars (dimension 0 varies
@@ -88,16 +88,12 @@ public:
       : State(std::make_shared<RDomState>()) {
     assert(!Vars.empty() && "RDom requires at least one variable");
     State->Vars = std::move(Vars);
-    registerRDom(State);
+    bindVars();
   }
 
   /// Restricts the domain to points satisfying \p Predicate. Must be
   /// called before the update definition that uses this domain.
-  void where(Expr Predicate) {
-    assert(Predicate.defined() && "where predicate must be defined");
-    assert(Predicate.type().isBool() && "where predicate must be boolean");
-    State->Predicates.push_back(std::move(Predicate));
-  }
+  void where(Expr Predicate);
 
   size_t dims() const { return State->Vars.size(); }
   const RVar &operator[](size_t D) const {
@@ -117,6 +113,14 @@ public:
   const std::vector<Expr> &predicates() const { return State->Predicates; }
 
 private:
+  /// Points every variable at this domain.
+  void bindVars() {
+    for (RVar &V : State->Vars) {
+      assert(!V.Name.empty() && "reduction variable requires a name");
+      V.Domain = State;
+    }
+  }
+
   std::shared_ptr<RDomState> State;
 };
 

@@ -13,7 +13,9 @@
 ///
 /// `BufferRef` is the type-erased view handed to the interpreter, the JIT
 /// ABI and the cache simulator (which needs base addresses and strides to
-/// form the memory trace).
+/// form the memory trace). A `BufferRef` with no data is a declaration: the
+/// view a buffer will have once allocated, which is all that planning,
+/// lowering and code generation read.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,14 +24,26 @@
 
 #include "ir/Type.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
+#include <limits>
 #include <random>
 #include <vector>
 
 namespace ltp {
+
+/// \p A * \p B for non-negative operands, saturating at INT64_MAX: sizes
+/// of declarations too large to allocate stay defined and compare large.
+inline int64_t saturatingMul(int64_t A, int64_t B) {
+  int64_t Product;
+  if (__builtin_mul_overflow(A, B, &Product))
+    return std::numeric_limits<int64_t>::max();
+  return Product;
+}
 
 /// Type-erased view of a dense buffer: base pointer, element type, extents
 /// and element strides (stride[0] == 1 always; layout is column-contiguous).
@@ -39,57 +53,71 @@ struct BufferRef {
   std::vector<int64_t> Extents;
   std::vector<int64_t> Strides;
 
+  /// A declaration: the view a buffer of \p ElemType and \p Extents gets,
+  /// with no data. Strides are dense (saturating).
+  static BufferRef declare(ir::Type ElemType, std::vector<int64_t> Extents) {
+    assert(!Extents.empty() && "buffer requires at least 1 dimension");
+    BufferRef R;
+    R.ElemType = ElemType;
+    int64_t Stride = 1;
+    for (int64_t E : Extents) {
+      assert(E > 0 && "buffer extents must be positive");
+      R.Strides.push_back(Stride);
+      Stride = saturatingMul(Stride, E);
+    }
+    R.Extents = std::move(Extents);
+    return R;
+  }
+
   int64_t dims() const { return static_cast<int64_t>(Extents.size()); }
 
+  /// The data as \p T elements.
+  template <typename T> T *data() const { return static_cast<T *>(Data); }
+
   /// Linear element offset of a multi-dimensional index.
-  int64_t offsetOf(const std::vector<int64_t> &Index) const {
+  template <typename IndexList = std::initializer_list<int64_t>>
+  int64_t offsetOf(const IndexList &Index) const {
     assert(Index.size() == Extents.size() && "index rank mismatch");
     int64_t Offset = 0;
-    for (size_t D = 0; D != Index.size(); ++D) {
-      assert(Index[D] >= 0 && Index[D] < Extents[D] &&
-             "buffer index out of bounds");
-      Offset += Index[D] * Strides[D];
+    size_t D = 0;
+    for (int64_t I : Index) {
+      assert(I >= 0 && I < Extents[D] && "buffer index out of bounds");
+      Offset += I * Strides[D++];
     }
     return Offset;
   }
 
-  /// Total number of elements.
+  /// Total number of elements (saturating).
   int64_t numElements() const {
     int64_t N = 1;
     for (int64_t E : Extents)
-      N *= E;
+      N = saturatingMul(N, E);
     return N;
   }
 
-  /// Size in bytes.
+  /// Size in bytes (saturating).
   int64_t sizeBytes() const {
-    return numElements() * static_cast<int64_t>(ElemType.bytes());
+    return saturatingMul(numElements(),
+                         static_cast<int64_t>(ElemType.bytes()));
   }
 };
 
-/// Owning, typed, 64-byte aligned n-dimensional buffer.
+/// Owning, typed, 64-byte aligned n-dimensional buffer: the view of its
+/// declaration (BufferRef::declare) plus the data.
 template <typename T> class Buffer {
 public:
   /// Allocates a buffer with the given per-dimension extents (dimension 0
   /// contiguous), zero-initialized.
   explicit Buffer(std::vector<int64_t> Extents)
-      : Extents(std::move(Extents)) {
-    assert(!this->Extents.empty() && "buffer requires at least 1 dimension");
-    Strides.resize(this->Extents.size());
-    int64_t Stride = 1;
-    for (size_t D = 0; D != this->Extents.size(); ++D) {
-      assert(this->Extents[D] > 0 && "buffer extents must be positive");
-      Strides[D] = Stride;
-      Stride *= this->Extents[D];
-    }
-    TotalElements = Stride;
+      : View(BufferRef::declare(elemType(), std::move(Extents))),
+        TotalElements(View.numElements()) {
     size_t Bytes = static_cast<size_t>(TotalElements) * sizeof(T);
     // Round the allocation up to a multiple of the alignment so streaming
     // stores may safely run whole vectors at the tail.
     size_t Padded = (Bytes + Alignment - 1) / Alignment * Alignment;
-    Data = static_cast<T *>(std::aligned_alloc(Alignment, Padded));
-    assert(Data && "buffer allocation failed");
-    std::memset(Data, 0, Padded);
+    View.Data = std::aligned_alloc(Alignment, Padded);
+    assert(View.Data && "buffer allocation failed");
+    std::memset(View.Data, 0, Padded);
   }
 
   Buffer(const Buffer &) = delete;
@@ -99,11 +127,9 @@ public:
   Buffer &operator=(Buffer &&Other) noexcept {
     if (this != &Other) {
       release();
-      Data = Other.Data;
-      Extents = std::move(Other.Extents);
-      Strides = std::move(Other.Strides);
+      View = std::move(Other.View);
       TotalElements = Other.TotalElements;
-      Other.Data = nullptr;
+      Other.View.Data = nullptr;
     }
     return *this;
   }
@@ -114,52 +140,43 @@ public:
   template <typename... Indices> T &operator()(Indices... Index) {
     static_assert((std::is_integral_v<Indices> && ...),
                   "buffer indices must be integral");
-    return Data[flatten({static_cast<int64_t>(Index)...})];
+    return data()[View.offsetOf({static_cast<int64_t>(Index)...})];
   }
   template <typename... Indices> const T &operator()(Indices... Index) const {
     static_assert((std::is_integral_v<Indices> && ...),
                   "buffer indices must be integral");
-    return Data[flatten({static_cast<int64_t>(Index)...})];
+    return data()[View.offsetOf({static_cast<int64_t>(Index)...})];
   }
 
-  T *data() { return Data; }
-  const T *data() const { return Data; }
+  T *data() { return View.data<T>(); }
+  const T *data() const { return View.data<T>(); }
 
-  const std::vector<int64_t> &extents() const { return Extents; }
-  int64_t extent(size_t D) const { return Extents[D]; }
-  int64_t stride(size_t D) const { return Strides[D]; }
+  const std::vector<int64_t> &extents() const { return View.Extents; }
+  int64_t extent(size_t D) const { return View.Extents[D]; }
+  int64_t stride(size_t D) const { return View.Strides[D]; }
   int64_t numElements() const { return TotalElements; }
 
   /// Fills the buffer with a fixed value.
-  void fill(T Value) {
-    for (int64_t I = 0; I != TotalElements; ++I)
-      Data[I] = Value;
-  }
+  void fill(T Value) { std::fill_n(data(), TotalElements, Value); }
 
   /// Fills the buffer with deterministic pseudo-random values in [0, 1) for
   /// floats or [0, 255] for integers.
   void fillRandom(uint32_t Seed) {
     std::mt19937 Rng(Seed);
+    T *P = data();
     if constexpr (std::is_floating_point_v<T>) {
       std::uniform_real_distribution<double> Dist(0.0, 1.0);
       for (int64_t I = 0; I != TotalElements; ++I)
-        Data[I] = static_cast<T>(Dist(Rng));
+        P[I] = static_cast<T>(Dist(Rng));
     } else {
       std::uniform_int_distribution<uint32_t> Dist(0, 255);
       for (int64_t I = 0; I != TotalElements; ++I)
-        Data[I] = static_cast<T>(Dist(Rng));
+        P[I] = static_cast<T>(Dist(Rng));
     }
   }
 
   /// Type-erased view of this buffer.
-  BufferRef ref() {
-    BufferRef R;
-    R.Data = Data;
-    R.ElemType = elemType();
-    R.Extents = Extents;
-    R.Strides = Strides;
-    return R;
-  }
+  BufferRef ref() { return View; }
 
   /// IR element type corresponding to T.
   static ir::Type elemType() {
@@ -182,27 +199,12 @@ public:
 private:
   static constexpr size_t Alignment = 64;
 
-  int64_t flatten(std::initializer_list<int64_t> Index) const {
-    assert(Index.size() == Extents.size() && "index rank mismatch");
-    int64_t Offset = 0;
-    size_t D = 0;
-    for (int64_t I : Index) {
-      assert(I >= 0 && I < Extents[D] && "buffer index out of bounds");
-      Offset += I * Strides[D];
-      ++D;
-    }
-    return Offset;
-  }
-
   void release() {
-    if (Data)
-      std::free(Data);
-    Data = nullptr;
+    std::free(View.Data);
+    View.Data = nullptr;
   }
 
-  T *Data = nullptr;
-  std::vector<int64_t> Extents;
-  std::vector<int64_t> Strides;
+  BufferRef View;
   int64_t TotalElements = 0;
 };
 

@@ -257,8 +257,15 @@ Response OptimizerService::runSession(const Request &Req,
   Sess.Resp.Kernel = Req.Kernel;
   Sess.Resp.KeyHash = keyHash(Key);
 
-  const BenchmarkDef *Def = findBenchmark(Req.Kernel);
-  Sess.Instance = Def->Create(Req.Size);
+  // The footprint is checked on the shape, before anything is allocated.
+  ErrorOr<BenchmarkInstance> Instance =
+      materialize(findBenchmark(Req.Kernel)->shape(Req.Size));
+  if (!Instance) {
+    Sess.Resp.Kind = ErrorKind::BadRequest;
+    Sess.Resp.Error = Instance.getError();
+    return Sess.Resp;
+  }
+  Sess.Instance = std::move(*Instance);
 
   auto OptStart = std::chrono::steady_clock::now();
   if (!scheduleSession(Sess)) {

@@ -3,6 +3,7 @@
 #include "serve/Protocol.h"
 
 #include "arch/ArchFile.h"
+#include "benchmarks/Benchmarks.h"
 #include "obs/JsonCheck.h"
 #include "obs/JsonWriter.h"
 #include "support/Format.h"
@@ -17,12 +18,13 @@ using namespace ltp::serve;
 namespace {
 
 /// Reads an integral JSON number; rejects fractions (a fractional size
-/// is a client bug, not something to round silently).
+/// is a client bug, not something to round silently) and magnitudes an
+/// int64_t cannot hold.
 bool asInt(const obs::JsonValue &V, int64_t &Out) {
   if (!V.isNumber())
     return false;
   double D = V.NumberValue;
-  if (D != std::floor(D))
+  if (D != std::floor(D) || std::fabs(D) >= 9223372036854775808.0)
     return false;
   Out = static_cast<int64_t>(D);
   return true;
@@ -50,6 +52,10 @@ ErrorOr<Request> ltp::serve::parseRequest(const std::string &Line) {
       if (!asInt(Value, Req.Size) || Req.Size < 0)
         return ErrorOr<Request>::makeError(
             "field 'size' must be a non-negative integer");
+      if (Req.Size > MaxBenchmarkSize)
+        return ErrorOr<Request>::makeError(
+            strFormat("field 'size' exceeds %lld",
+                      static_cast<long long>(MaxBenchmarkSize)));
     } else if (Name == "schedule" && Value.isString()) {
       Req.Schedule = Value.StringValue;
     } else if (Name == "arch" && Value.isString()) {

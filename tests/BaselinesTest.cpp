@@ -105,9 +105,10 @@ TEST(AutoSchedulerTest, NeverTilesReductionLoops) {
   applyAutoSchedulerSchedule(F, Instance.StageExtents[0], intelI7_6700());
   const Definition &Update = F.updateDefinition(F.numUpdates() - 1);
   for (const ScheduleDirective &D : Update.Schedule.Directives) {
-    if (const auto *Split = std::get_if<SplitDirective>(&D))
+    if (const auto *Split = std::get_if<SplitDirective>(&D)) {
       EXPECT_NE(Split->Old, "k")
           << "the Auto-Scheduler only tiles output dimensions";
+    }
   }
 }
 

@@ -5,13 +5,15 @@
 // The extended kernels probe flow paths the paper's 12 do not: 1-D
 // reductions with no parallelizable pure loop (atax/bicg/mvt), a
 // 4-stage mixed pipeline (gemver) and the stencil branch of the
-// classifier (jacobi2d, per Kamil et al. [9]).
+// classifier (jacobi2d, per Kamil et al. [9]). The shape/data parity
+// test covers both suites.
 //
 //===----------------------------------------------------------------------===//
 
 #include "baselines/Baselines.h"
 #include "benchmarks/PipelineRunner.h"
 #include "core/Optimizer.h"
+#include "ir/IRPrinter.h"
 
 #include <gtest/gtest.h>
 
@@ -42,6 +44,47 @@ TEST_P(ExtendedCorrectness, BaselineScheduleMatchesReference) {
                           intelI7_6700());
   runInterpreted(Instance);
   EXPECT_TRUE(verifyOutput(Instance));
+}
+
+// A kernel's shape holds no data but declares exactly the buffers Create
+// allocates and lowers to the same stages; materializing it gives an
+// instance the reference oracle accepts.
+TEST(BenchmarkShape, MatchesCreateAndMaterializes) {
+  std::vector<const BenchmarkDef *> Defs;
+  for (const BenchmarkDef &Def : allBenchmarks())
+    Defs.push_back(&Def);
+  for (const BenchmarkDef &Def : extendedBenchmarks())
+    Defs.push_back(&Def);
+  ASSERT_EQ(Defs.size(), 17u);
+  for (const BenchmarkDef *Def : Defs) {
+    SCOPED_TRACE(Def->Name);
+    const int64_t N = 24;
+    BenchmarkInstance Shape = Def->shape(N);
+    BenchmarkInstance Created = Def->Create(N);
+    EXPECT_TRUE(Shape.Storage.empty());
+    ASSERT_EQ(Shape.Buffers.size(), Created.Buffers.size());
+    for (const auto &[Name, Decl] : Shape.Buffers) {
+      SCOPED_TRACE(Name);
+      ASSERT_TRUE(Created.Buffers.contains(Name));
+      const BufferRef &Allocated = Created.Buffers.at(Name);
+      EXPECT_EQ(Decl.Data, nullptr);
+      EXPECT_NE(Allocated.Data, nullptr);
+      EXPECT_EQ(Decl.ElemType, Allocated.ElemType);
+      EXPECT_EQ(Decl.Extents, Allocated.Extents);
+      EXPECT_EQ(Decl.Strides, Allocated.Strides);
+    }
+    std::vector<ir::StmtPtr> ShapeStages = lowerPipeline(Shape);
+    std::vector<ir::StmtPtr> CreatedStages = lowerPipeline(Created);
+    ASSERT_EQ(ShapeStages.size(), CreatedStages.size());
+    for (size_t S = 0; S != ShapeStages.size(); ++S)
+      EXPECT_EQ(ir::printStmt(ShapeStages[S]),
+                ir::printStmt(CreatedStages[S]));
+
+    ErrorOr<BenchmarkInstance> Materialized = materialize(std::move(Shape));
+    ASSERT_TRUE(Materialized) << Materialized.getError();
+    runInterpreted(*Materialized);
+    EXPECT_TRUE(verifyOutput(*Materialized));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Extended, ExtendedCorrectness,

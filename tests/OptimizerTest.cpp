@@ -146,6 +146,22 @@ TEST(OptimizerTest, RowBeyondVectorLimitIsChunkedAndCorrect) {
   EXPECT_TRUE(verifyOutput(Instance));
 }
 
+// Transposes too small to give every thread a row of tiles have no
+// feasible spatial tile; they take the plain parallel+vectorize plan and
+// stay correct.
+TEST(OptimizerTest, TinyTransposesFallBackToParVec) {
+  for (const char *Name : {"tp", "tpm"})
+    for (const ArchParams &Arch :
+         {intelI7_5930K(), intelI7_6700(), armCortexA15()})
+      for (int64_t N = 1; N != 16; ++N) {
+        BenchmarkInstance Instance = findBenchmark(Name)->Create(N);
+        optimizeInstance(Instance, Arch);
+        runInterpreted(Instance);
+        EXPECT_TRUE(verifyOutput(Instance))
+            << Name << " N=" << N << " on " << Arch.Name;
+      }
+}
+
 TEST(TemporalOptimizerTest, MatmulScheduleIsFeasible) {
   const BenchmarkDef *Def = findBenchmark("matmul");
   BenchmarkInstance Instance = Def->Create(512);
@@ -204,7 +220,9 @@ TEST(SpatialOptimizerTest, TransposeFavorsNarrowTallTiles) {
   EXPECT_EQ(C.TransposedInputs[0], "A");
 
   ArchParams Arch = intelI7_5930K();
-  SpatialSchedule S = optimizeSpatial(Info, C, Arch);
+  std::optional<SpatialSchedule> Tiled = optimizeSpatial(Info, C, Arch);
+  ASSERT_TRUE(Tiled);
+  const SpatialSchedule &S = *Tiled;
   int64_t Lc = Arch.L1.LineBytes / Info.DTS;
   // Eq. 15 is minimized at Tx = lc and the maximum interference-free
   // height.

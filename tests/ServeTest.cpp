@@ -178,6 +178,25 @@ TEST(ServeKernelBuild, RDomNamesResolvePerThread) {
             std::optional<int64_t>(10));
 }
 
+// Reduction variables bind by value: a later RDom of the same name on
+// the same thread does not capture an update that references an earlier
+// one.
+TEST(ServeKernelBuild, RDomNamesResolveByValueOnOneThread) {
+  Var J("j");
+  InputBuffer In("In", ir::Type::float32(), 2);
+  RDom Mine(0, 10, "k");
+  RDom Other(0, 20, "k");
+
+  Func Sum("Sum");
+  Sum(J) = 0.0f;
+  Sum(J) += In(J, Mine);
+  ASSERT_EQ(Sum.numUpdates(), 1);
+  const Definition &Update = Sum.updateDefinition(0);
+  ASSERT_EQ(Update.RVars.size(), 1u);
+  EXPECT_EQ(ir::asConstInt(Update.RVars[0].Extent.node()),
+            std::optional<int64_t>(10));
+}
+
 //===----------------------------------------------------------------------===//
 // OptimizerService
 //===----------------------------------------------------------------------===//
@@ -367,6 +386,20 @@ TEST(ServeService, CompileReturnsSharedStorePaths) {
   ASSERT_TRUE(B.Ok);
   EXPECT_EQ(B.Dedup, DedupOutcome::Cached);
   EXPECT_EQ(B.SoPaths, A.SoPaths);
+}
+
+// Transposes too small for any spatial tile answer with the plain
+// parallel+vectorize plan instead of aborting the daemon.
+TEST(ServeService, TinyTransposesAnswer) {
+  OptimizerService Service;
+  for (const char *Kernel : {"tp", "tpm"}) {
+    Request Req = optimizeRequest(Kernel, 8);
+    Response R = Service.handle(Req);
+    EXPECT_TRUE(R.Ok) << Kernel << ": " << R.Error;
+    Req.Op = "lint";
+    R = Service.handle(Req);
+    EXPECT_TRUE(R.Ok) << Kernel << ": " << R.Error;
+  }
 }
 
 // A row longer than the backend's vector-loop limit (4096): the optimizer
@@ -617,6 +650,12 @@ TEST(ServeServer, BadFieldsAndArchTextAreBadRequests) {
         "\"arch_text\": \"l1.size = 1\\n\", \"compile\": false}",
         "{\"kernel\": \"matmul\", \"size\": 32, "
         "\"arch_text\": \"l1.line = 2\\n\", \"compile\": false}",
+        // Buffers larger than any host's memory, and a size the
+        // kernels' int reduction extents cannot hold.
+        "{\"kernel\": \"matmul\", \"size\": 3000000, \"arch\": \"6700\", "
+        "\"compile\": false}",
+        "{\"kernel\": \"matmul\", \"size\": 2147483648, "
+        "\"arch\": \"6700\", \"compile\": false}",
     };
     for (const char *Line : BadRequests) {
       std::string R = Conn.roundTrip(Line);

@@ -6,6 +6,7 @@
 // benchmark definitions, or `all` for the whole suite) and a platform,
 // get back the classification, the optimization schedule, the lowered
 // loop nest and (optionally) the generated C — without running anything.
+// Buffers are allocated only for --run and --simulate.
 //
 // Usage:
 //   ltp-opt <benchmark>|all [--arch 5930k|6700|a15|host] [--size N]
@@ -224,7 +225,22 @@ int runLint(BenchmarkInstance &Instance, const BenchmarkDef *Def,
 int processBenchmark(const BenchmarkDef *Def, const ArgParse &Args,
                      const ArchParams &Arch) {
   int64_t Size = Args.getInt("size", Def->DefaultSize);
-  BenchmarkInstance Instance = Def->Create(Size);
+  if (Size < 1 || Size > MaxBenchmarkSize) {
+    std::fprintf(stderr, "error: --size must be an integer in [1, %lld]\n",
+                 static_cast<long long>(MaxBenchmarkSize));
+    return 1;
+  }
+  // Planning, linting, lowering and compiling read the shape only;
+  // running and simulating need the data.
+  BenchmarkInstance Instance = Def->shape(Size);
+  if (Args.has("simulate") || Args.has("run")) {
+    ErrorOr<BenchmarkInstance> Materialized = materialize(std::move(Instance));
+    if (!Materialized) {
+      std::fprintf(stderr, "error: %s\n", Materialized.getError().c_str());
+      return 1;
+    }
+    Instance = std::move(*Materialized);
+  }
 
   std::printf("benchmark : %s (%s), size %lld\n", Def->Name.c_str(),
               Def->Description.c_str(), static_cast<long long>(Size));
